@@ -60,9 +60,9 @@ from .selector import (
 from .tuning import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_THETA_GRID,
-    GridCell,
-    evaluate_selection,
+    evaluate_selection,  # noqa: F401  unused here; a benchmark tracer wraps it by this name
     grid_search,
+    sweep_selection,
     write_score_table,
 )
 
@@ -371,6 +371,7 @@ def cmd_predict(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> None
     paired = _scored_split(cfg, run_dir, split)
     rows = []
     fused_lists = []
+    n_none_above = 0
     for _, cl in paired:
         triggers = fuse_and_select(cl, scorer=None, cfg=selection)
         frames = frames_from_cache(cl, triggers)
@@ -381,6 +382,7 @@ def cmd_predict(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> None
                 [c.beam_score for c in cl.candidates],
                 selection.alpha,
             )
+            n_none_above += max(fused) <= selection.theta
             cl = cl.with_fused_scores(fused)
         fused_lists.append(cl)
     _write_candidates(run_dir, cfg, split, fused_lists)
@@ -397,8 +399,8 @@ def cmd_predict(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> None
     )
     n_events = sum(len(r["events"]) for r in rows)
     log.info(
-        "predict[%s]: alpha=%g theta=%g, %d events over %d docs",
-        split, selection.alpha, selection.theta, n_events, len(rows),
+        "predict[%s]: alpha=%g theta=%g, %d events over %d docs, %d doc(s) with no candidate above theta",
+        split, selection.alpha, selection.theta, n_events, len(rows), n_none_above,
     )
 
 
@@ -425,14 +427,9 @@ def cmd_report(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> None:
     alpha = base.alpha if args.alpha is None else args.alpha
     theta = base.theta if args.theta is None else args.theta
 
-    theta_cells = [
-        GridCell(alpha, t, evaluate_selection(paired, SelectionConfig(alpha=alpha, theta=t)))
-        for t in sorted(cfg.theta_grid)
-    ]
-    alpha_cells = [
-        GridCell(a, theta, evaluate_selection(paired, SelectionConfig(alpha=a, theta=theta)))
-        for a in sorted(cfg.alpha_grid)
-    ]
+    theta_pairs = [(alpha, t) for t in sorted(cfg.theta_grid)]
+    cells = sweep_selection(paired, theta_pairs + [(a, theta) for a in sorted(cfg.alpha_grid)])
+    theta_cells, alpha_cells = cells[: len(theta_pairs)], cells[len(theta_pairs) :]
     write_score_table(
         theta_cells, run_dir / "theta_sweep.csv", comment=f"config_hash={cfg.hash} split={split}"
     )

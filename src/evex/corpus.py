@@ -7,7 +7,8 @@ The ingestion format is JSON lines, one context per line:
                  "arguments": [{"role": "Destination", "entity": "home"}]}]}
 
 A missing "events" field means a negative (zero-event) context. Malformed
-lines are skipped and reported with their line number, never fatal.
+lines and lines repeating an earlier doc_id are skipped and reported with
+their line number, never fatal.
 """
 
 from __future__ import annotations
@@ -88,9 +89,12 @@ def instance_to_dict(instance: ContextInstance) -> dict:
 
 def load_corpus(path: str | Path) -> LoadResult:
     """Read a JSONL corpus. Returns instances in file order plus a problem
-    list (bad lines, gold triggers missing from their context)."""
+    list (bad lines, repeated doc ids, gold triggers missing from their
+    context). Later stages key instances by doc_id, so only the first line
+    of a doc_id is kept."""
     path = Path(path)
     result = LoadResult(instances=[])
+    first_line: dict[str, int] = {}
     with path.open(encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
@@ -106,6 +110,12 @@ def load_corpus(path: str | Path) -> LoadResult:
             except (KeyError, TypeError, ValueError, AttributeError) as exc:
                 result.problems.append(LoadProblem(line_no, f"malformed instance: {exc}"))
                 continue
+            if instance.doc_id in first_line:
+                result.problems.append(LoadProblem(
+                    line_no, f"duplicate doc_id {instance.doc_id!r} (first on line {first_line[instance.doc_id]})"
+                ))
+                continue
+            first_line[instance.doc_id] = line_no
             for violation in instance.trigger_violations():
                 result.problems.append(LoadProblem(line_no, violation))
             result.instances.append(instance)

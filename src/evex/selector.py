@@ -8,16 +8,21 @@ keeps every candidate whose fused score exceeds the threshold theta.
 
 The reference scorer is a linear model over hashed character and word n-gram
 counts of "context || candidate", trained by stochastic subgradient descent.
-A pretrained text encoder with a projection head can be slotted in through
-the same RankScorer interface.
+Hashing the same strings again in every epoch would dominate training, so a
+training call keeps a feature table: each unique (context, text) pair is
+hashed once into index/count arrays (in the order the hashing emits them), and
+every step scores and updates from those arrays. A pretrained text encoder
+with a projection head can be slotted in through the same RankScorer
+interface.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import random
 import zlib
+from collections.abc import Sequence
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,10 +32,10 @@ from .codec import CodecConfig, encode_trigger
 from .events import Trigger
 from .generation import CandidateList
 
-log = logging.getLogger("evex")
-
 # one training example: (context, positive text, negative texts)
 ContrastiveItem = tuple[str, str, list[str]]
+# hashed features of one (context, text) pair: indices and their counts
+FeatureRow = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -74,6 +79,11 @@ class RankScorer:
         """One subgradient update on the batch; returns the pre-update loss."""
         raise NotImplementedError
 
+    def training(self):
+        """Context manager around one training call; a scorer may keep work
+        that repeats across steps (such as featurization) until it exits."""
+        return nullcontext()
+
 
 class HashedNgramScorer(RankScorer):
     """Linear scorer over hashed n-gram counts of "context || candidate".
@@ -98,6 +108,8 @@ class HashedNgramScorer(RankScorer):
         self.word_ngrams = tuple(int(n) for n in word_ngrams)
         self.char_ngrams = tuple(int(n) for n in char_ngrams)
         self.weights = np.zeros(self.dim, dtype=np.float64)
+        # (context, text) -> FeatureRow, kept only inside training()
+        self._table: dict[tuple[str, str], FeatureRow] | None = None
 
     def _features(self, context: str, candidate_text: str) -> dict[int, float]:
         text = f"{context} || {candidate_text}".casefold()
@@ -122,6 +134,31 @@ class HashedNgramScorer(RankScorer):
         idx = np.fromiter(feats.keys(), dtype=np.intp, count=len(feats))
         cnt = np.fromiter(feats.values(), dtype=np.float64, count=len(feats))
         return float(self.weights[idx] @ cnt)
+
+    def _feature_row(self, context: str, text: str) -> FeatureRow:
+        """The pair's features as arrays, from the table inside training().
+
+        Indices are crc32 values modulo dim, so they fit in uint32. Both
+        arrays keep the order of _features, so a score equals
+        _score_features bit for bit.
+        """
+        table = self._table if self._table is not None else {}
+        row = table.get((context, text))
+        if row is None:
+            feats = self._features(context, text)
+            row = table[context, text] = (
+                np.fromiter(feats.keys(), dtype=np.uint32, count=len(feats)),
+                np.fromiter(feats.values(), dtype=np.float64, count=len(feats)),
+            )
+        return row
+
+    @contextmanager
+    def training(self):
+        self._table = {}
+        try:
+            yield
+        finally:
+            self._table = None
 
     def score(self, context: str, candidate_text: str) -> float:
         return self._score_features(self._features(context, candidate_text))
@@ -152,11 +189,29 @@ class HashedNgramScorer(RankScorer):
         return loss, grad
 
     def train_step(self, batch: list[ContrastiveItem], margin: float, learning_rate: float) -> float:
-        loss, grad = self.loss_and_grad(batch, margin)
-        if grad:
-            idx = np.fromiter(grad.keys(), dtype=np.intp, count=len(grad))
-            val = np.fromiter(grad.values(), dtype=np.float64, count=len(grad))
-            self.weights[idx] -= learning_rate * val
+        """The loss and update of loss_and_grad, computed from feature rows.
+
+        Scores and the loss are summed in the same order as there. The
+        subgradient is a sum of integer counts, exact in any order, so it is
+        accumulated per index with bincount.
+        """
+        weights = self.weights
+        loss = 0.0
+        idx_parts: list[np.ndarray] = []
+        val_parts: list[np.ndarray] = []
+        for context, positive, negatives in batch:
+            pos_idx, pos_cnt = self._feature_row(context, positive)
+            pos_score = float(weights[pos_idx] @ pos_cnt)
+            for negative in negatives:
+                neg_idx, neg_cnt = self._feature_row(context, negative)
+                term = margin - pos_score + float(weights[neg_idx] @ neg_cnt)
+                if term > 0.0:
+                    loss += term
+                    idx_parts += (pos_idx, neg_idx)
+                    val_parts += (-pos_cnt, neg_cnt)
+        if idx_parts:
+            keys, inverse = np.unique(np.concatenate(idx_parts), return_inverse=True)
+            weights[keys] -= learning_rate * np.bincount(inverse, weights=np.concatenate(val_parts))
         return loss
 
     def to_dict(self) -> dict:
@@ -257,21 +312,22 @@ def train_selector(
 
     result = SelectorTrainResult()
     first_epoch = True
-    for _ in range(cfg.epochs):
-        order = list(range(len(data)))
-        rng.shuffle(order)
-        epoch_loss = 0.0
-        for i in order:
-            batch = batch_for(data[i], rng.randrange(2**31))
-            if not batch:
+    with scorer.training():
+        for _ in range(cfg.epochs):
+            order = list(range(len(data)))
+            rng.shuffle(order)
+            epoch_loss = 0.0
+            for i in order:
+                batch = batch_for(data[i], rng.randrange(2**31))
+                if not batch:
+                    if first_epoch:
+                        result.n_skipped += 1
+                    continue
                 if first_epoch:
-                    result.n_skipped += 1
-                continue
-            if first_epoch:
-                result.n_trained += 1
-            epoch_loss += scorer.train_step(batch, cfg.margin, cfg.learning_rate)
-        result.loss_per_epoch.append(epoch_loss)
-        first_epoch = False
+                    result.n_trained += 1
+                epoch_loss += scorer.train_step(batch, cfg.margin, cfg.learning_rate)
+            result.loss_per_epoch.append(epoch_loss)
+            first_epoch = False
     return result
 
 
@@ -321,20 +377,18 @@ def fuse_and_select(
     rank_scores = [c.rank_score for c in scored.candidates]
     beam_scores = [c.beam_score for c in scored.candidates]
     fused = fuse_scores(rank_scores, beam_scores, cfg.alpha)
+    # strict inequality: an exact tie at theta selects nothing
+    return selected_triggers(scored, [i for i, score in enumerate(fused) if score > cfg.theta])
+
+
+def selected_triggers(candidates: CandidateList, kept: Sequence[int]) -> list[Trigger]:
+    """Union of the parsed triggers of the kept candidates (indices in
+    ascending order), deduplicated, in first-appearance order."""
     selected: list[Trigger] = []
     seen: set[Trigger] = set()
-    n_kept = 0
-    for candidate, score in zip(scored.candidates, fused):
-        if score > cfg.theta:
-            n_kept += 1
-            for trigger in candidate.triggers:
-                if trigger not in seen:
-                    seen.add(trigger)
-                    selected.append(trigger)
-    if n_kept == 0:
-        # strict inequality: an exact tie at theta selects nothing
-        log.debug(
-            "no candidate above theta=%g for doc %s (max fused %.6f)",
-            cfg.theta, candidates.doc_id, max(fused),
-        )
+    for i in kept:
+        for trigger in candidates.candidates[i].triggers:
+            if trigger not in seen:
+                seen.add(trigger)
+                selected.append(trigger)
     return selected

@@ -136,3 +136,17 @@ def test_config_hash_mismatch_warns(tmp_path, caplog):
     with caplog.at_level(logging.WARNING, logger="evex"):
         assert run(["predict", "--config", cfg2, "--run-dir", tmp_path, "--split", "test"]) == 0
     assert any("config hash mismatch" in r.message for r in caplog.records)
+
+
+def test_run_log_length_does_not_grow_with_grid(tmp_path):
+    line_counts = []
+    for name, tuning in (("default", None), ("single", {"alpha_grid": [0.4], "theta_grid": [0.2]})):
+        rd = tmp_path / name
+        cfg_path = build_demo_run(rd, seed=9, noisy=True)
+        if tuning:
+            cfg = json.loads(cfg_path.read_text())
+            cfg["tuning"] = tuning
+            cfg_path.write_text(json.dumps(cfg))
+        assert run(["pipeline", "--config", cfg_path, "--run-dir", rd]) == 0
+        line_counts.append(len((rd / "run.log").read_text().splitlines()))
+    assert line_counts[0] == line_counts[1]

@@ -64,6 +64,17 @@ def test_load_reports_bad_lines_with_numbers(tmp_path):
     assert lines == [1, 3]
 
 
+def test_load_skips_and_reports_repeated_doc_id(tmp_path):
+    first = json.dumps({"doc_id": "d", "context": "He went home .",
+                        "events": [{"trigger": {"word": "went", "type": "T"}}]})
+    repeat = json.dumps({"doc_id": "d", "context": "She left ."})
+    other = json.dumps({"doc_id": "e", "context": "quiet day ."})
+    result = load_corpus(write_lines(tmp_path, [first, repeat, other]))
+    assert [(i.doc_id, i.context) for i in result.instances] == [("d", "He went home ."), ("e", "quiet day .")]
+    assert [p.line for p in result.problems] == [2]
+    assert "duplicate doc_id 'd'" in result.problems[0].message
+
+
 def test_load_reports_trigger_substring_violation(tmp_path):
     line = json.dumps(
         {

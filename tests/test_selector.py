@@ -206,6 +206,36 @@ def test_train_selector_loss_decreases_on_separable_data():
     assert scorer.score(context, gold_text) > max(scorer.score(context, t) for t in junk_texts)
 
 
+class DictUpdateScorer(HashedNgramScorer):
+    """The reference update: loss_and_grad's dict, applied index by index."""
+
+    def train_step(self, batch, margin, learning_rate):
+        loss, grad = self.loss_and_grad(batch, margin)
+        for idx, val in grad.items():
+            self.weights[idx] -= learning_rate * val
+        return loss
+
+
+def test_train_selector_matches_dict_reference():
+    rng = random.Random(24)
+    data = []
+    for i in range(25):
+        context = " ".join(f"c{rng.randrange(50)}" for _ in range(5))
+        gold = [Trigger(f"g{rng.randrange(9)}", f"T{j}") for j in range(rng.randint(0, 2))]
+        texts = [(f"{t.word} [{t.event_type}]", -0.1) for t in gold]
+        texts += [(f"j{rng.randrange(12)} [T{rng.randrange(2)}]", -0.5 - 0.1 * k) for k in range(rng.randint(0, 7))]
+        data.append((context, gold, make_candidates(texts, context=context, doc_id=f"d{i}")))
+    # dim 64 makes hash collisions within and across pairs certain
+    for dim, seed in ((64, 0), (64, 1), (2**12, 2)):
+        cfg = SelectorTrainConfig(epochs=6, negatives_k=3, learning_rate=0.05, seed=seed)
+        ours, reference = HashedNgramScorer(dim=dim), DictUpdateScorer(dim=dim)
+        got = train_selector(ours, data, cfg)
+        want = train_selector(reference, data, cfg)
+        assert got.loss_per_epoch == want.loss_per_epoch
+        assert np.array_equal(ours.weights, reference.weights)
+        assert np.count_nonzero(ours.weights) > 0
+
+
 def test_train_selector_all_gold_candidates_is_untrainable():
     cl = make_candidates([("a [T]", -0.1)])
     data = [("ctx", [Trigger("a", "T")], cl)]

@@ -3,12 +3,15 @@ import random
 
 import pytest
 
-from evex.events import ContextInstance, EventFrame, Trigger
+from evex.events import ArgumentPair, ContextInstance, EventFrame, Trigger
 from evex.generation import CandidateList, TriggerCandidate
+from evex.selector import SelectionConfig, fuse_scores
 from evex.tuning import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_THETA_GRID,
+    evaluate_selection,
     grid_search,
+    sweep_selection,
     write_score_table,
 )
 
@@ -95,6 +98,52 @@ def test_returned_cell_is_table_maximum():
         expected = min(winners, key=lambda c: (c.theta, c.alpha))
         assert (result.alpha, result.theta) == (expected.alpha, expected.theta)
         assert result.best_report().trig_c.f1 == best_f1
+
+
+def tied_scored_dev(rng):
+    """random_scored_dev plus an empty candidate list, candidates sharing a
+    trigger, cached arguments, and docs of 1, 2 and 4 candidates with equal
+    scores, whose fused scores are exactly 1, 1/2 and 1/4 at alpha 0 or 1."""
+    dev = random_scored_dev(rng)
+    dev.append(paired("empty", "ctx empty", ["a"], []))
+    shared = TriggerCandidate("a [T] [and] b [T]", (Trigger("a", "T"), Trigger("b", "T")), -1.0, rank_score=0.5)
+    instance, candidates = paired(
+        "shared", "ctx shared", ["a", "c"],
+        [scored_candidate("a", "T", -0.5, 1.0), shared, scored_candidate("c", "T", -2.0, -1.0)],
+    )
+    entity = ArgumentPair("Agent", "someone")
+    instance = ContextInstance(instance.doc_id, instance.context, (EventFrame(Trigger("a", "T"), (entity,)),))
+    candidates = CandidateList(candidates.doc_id, candidates.context, candidates.candidates, {"a": (entity,), "b": (entity,)})
+    dev.append((instance, candidates))
+    for n in (1, 2, 4):
+        words = [safe_word(rng) + str(j) for j in range(n)]
+        dev.append(paired(f"tie{n}", f"ctx tie {n}", words[:1], [scored_candidate(w, "T", -1.0, 0.3) for w in words]))
+    return dev
+
+
+def test_sweep_matches_per_cell_reference():
+    rng = random.Random(53)
+    for _ in range(10):
+        dev = tied_scored_dev(rng)
+        alphas = [0.0, 0.5, 1.0, round(rng.random(), 3)]
+        thetas = [0.0, 0.25, 0.5, 1.0, round(rng.random(), 3)]
+        cells = [(alpha, theta) for theta in thetas for alpha in alphas]
+        rng.shuffle(cells)
+        swept = sweep_selection(dev, cells)
+        assert [(cell.alpha, cell.theta) for cell in swept] == cells
+        for cell in swept:
+            assert cell.report == evaluate_selection(dev, SelectionConfig(cell.alpha, cell.theta))
+    # the cases the sweep must get right are really there
+    fused = [fuse_scores([c.rank_score for c in cl.candidates], [c.beam_score for c in cl.candidates], 1.0)
+             for _, cl in dev if cl.candidates]
+    assert any(0.25 in f for f in fused) and any(0.5 in f for f in fused) and any(1.0 in f for f in fused)
+    assert any(not cl.candidates for _, cl in dev)
+
+
+def test_sweep_rejects_repeated_doc_id():
+    dev = planted_dev_set()
+    with pytest.raises(ValueError, match="duplicate doc_id"):
+        sweep_selection(dev + dev[:1], [(0.5, 0.3)])
 
 
 def test_grid_search_reproducible():
