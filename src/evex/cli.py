@@ -22,6 +22,7 @@ import argparse
 import json
 import logging
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -250,7 +251,7 @@ def cmd_gen_candidates(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) 
     backend.fit(pairs, cfg.backend_params.get("hyperparams"))
     instances = _load_split(cfg, run_dir, split)
     lists: list[CandidateList] = []
-    n_warnings = 0
+    warning_kinds: Counter[str] = Counter()
     for instance in instances:
         try:
             candidates, warnings = generate_trigger_candidates(
@@ -259,13 +260,20 @@ def cmd_gen_candidates(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) 
             candidates, arg_warnings = attach_argument_cache(backend, candidates, cfg.codec)
         except BackendError as exc:
             raise DataError(str(exc)) from exc
-        n_warnings += len(warnings) + len(arg_warnings)
-        for message in warnings + arg_warnings:
-            log.debug("parse warning: %s", message)
+        # "doc <id>: <kind>: <detail>" -> "<kind>"
+        doc_prefix = f"doc {instance.doc_id}: "
+        warning_kinds.update(
+            message.removeprefix(doc_prefix).partition(": ")[0] for message in warnings + arg_warnings
+        )
         lists.append(candidates)
     _write_candidates(run_dir, cfg, split, lists)
+    by_kind = ", ".join(f"{kind}: {count}" for kind, count in sorted(warning_kinds.items()))
     log.info(
-        "gen-candidates[%s]: %d contexts, %d parse warning(s)", split, len(lists), n_warnings
+        "gen-candidates[%s]: %d contexts, %d parse warning(s)%s",
+        split,
+        len(lists),
+        warning_kinds.total(),
+        f" ({by_kind})" if by_kind else "",
     )
 
 

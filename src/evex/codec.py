@@ -9,7 +9,8 @@ and any generation backend:
     argument target:  "<Agent> father - in - law </Agent> <Place> home </Place>"
 
 Decoding is regex-based and never raises: malformed segments are skipped
-and reported in a warning list returned alongside the parsed values.
+and reported in a warning list returned alongside the parsed values. Each
+warning reads "<kind>" or "<kind>: <detail>".
 """
 
 from __future__ import annotations
@@ -150,14 +151,14 @@ def decode_argument_output(text: str, cfg: CodecConfig) -> tuple[list[ArgumentPa
         for entity in re.split(re.escape(cfg.and_token), fill):
             entity = entity.strip()
             if not entity:
-                warnings.append(f"empty entity in role {role!r}")
+                warnings.append(f"empty entity: role {role!r}")
                 continue
             if matches_token(entity, cfg.none_token) or matches_token(entity, cfg.empty_token):
                 continue
             try:
                 pairs.append(ArgumentPair(role, entity))
             except ValueError as exc:
-                warnings.append(f"invalid argument pair in role {role!r}: {exc}")
+                warnings.append(f"invalid argument pair: role {role!r}: {exc}")
     leftover = _strip_spans(text, consumed)
     for tag in _TAG_RE.findall(leftover):
         warnings.append(f"unmatched tag: {tag}")

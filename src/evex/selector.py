@@ -8,12 +8,15 @@ keeps every candidate whose fused score exceeds the threshold theta.
 
 The reference scorer is a linear model over hashed character and word n-gram
 counts of "context || candidate", trained by stochastic subgradient descent.
-Hashing the same strings again in every epoch would dominate training, so a
-training call keeps a feature table: each unique (context, text) pair is
-hashed once into index/count arrays (in the order the hashing emits them), and
-every step scores and updates from those arrays. A pretrained text encoder
-with a projection head can be slotted in through the same RankScorer
-interface.
+Most of a pair's n-grams lie in the shared "context ||" prefix, and the
+candidate texts of a corpus repeat, so the scorer hashes a context's prefix
+once for its run of candidates and each candidate text once, and hashes per
+pair only the few n-grams that cross the " || " junction. Hashing the same
+strings again in every epoch would dominate training, so a training call
+also keeps a feature table: each unique (context, text) pair becomes
+index/count arrays (in the order the hashing emits them), and every step
+scores and updates from those arrays. A pretrained text encoder with a
+projection head can be slotted in through the same RankScorer interface.
 """
 
 from __future__ import annotations
@@ -21,7 +24,9 @@ from __future__ import annotations
 import json
 import random
 import zlib
-from collections.abc import Sequence
+from array import array
+from collections import Counter
+from collections.abc import Iterable, Sequence
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,6 +41,8 @@ from .generation import CandidateList
 ContrastiveItem = tuple[str, str, list[str]]
 # hashed features of one (context, text) pair: indices and their counts
 FeatureRow = tuple[np.ndarray, np.ndarray]
+# one side of " || ": tokens, their joined text, hashed n-grams per family
+_Side = tuple[list[str], str, list[array]]
 
 
 @dataclass(frozen=True)
@@ -92,8 +99,22 @@ class HashedNgramScorer(RankScorer):
     features are shared by all candidates of one context, so they cancel in
     pairwise updates and shift all scores equally at inference (softmax
     invariant); the ranking signal lives in the candidate-side n-grams.
+
+    The pair is normalised as casefold plus whitespace collapse. Both act on
+    each character alone, so the normalised pair is the normalised prefix
+    "context ||", a space, and the normalised candidate. Every n-gram of it
+    lies inside the prefix, inside the candidate, or across the junction
+    (at most n - 1 word n-grams, n char n-grams, per family). The prefix part
+    is memoised for the most recent context, since a context's candidates
+    are scored in a row; the candidate part is memoised per text, a memo
+    emptied when it holds TEXT_MEMO_SIZE texts. Only the junction is hashed
+    for every pair. The memos hold hashed indices, which depend on dim and
+    the n-gram lengths alone, never on the weights; concatenated in the
+    order a whole-string pass emits them, they count to the same features
+    in the same order, so every score is the same float.
     """
 
+    TEXT_MEMO_SIZE = 2**12
     FORMAT = "hashed-ngram-linear/1"
 
     def __init__(
@@ -107,26 +128,65 @@ class HashedNgramScorer(RankScorer):
         self.dim = int(dim)
         self.word_ngrams = tuple(int(n) for n in word_ngrams)
         self.char_ngrams = tuple(int(n) for n in char_ngrams)
+        if any(n < 1 for n in self.word_ngrams + self.char_ngrams):
+            raise ValueError("n-gram lengths must be positive")
         self.weights = np.zeros(self.dim, dtype=np.float64)
         # (context, text) -> FeatureRow, kept only inside training()
         self._table: dict[tuple[str, str], FeatureRow] | None = None
+        # hashed indices only, never scores, so a weight update cannot stale them
+        self._context_memo: tuple[str, _Side] | None = None
+        self._text_memo: dict[str, _Side] = {}
 
     def _features(self, context: str, candidate_text: str) -> dict[int, float]:
-        text = f"{context} || {candidate_text}".casefold()
-        text = " ".join(text.split())
-        counts: dict[int, float] = {}
-        tokens = text.split()
-        for n in self.word_ngrams:
-            for i in range(len(tokens) - n + 1):
-                key = f"w{n}:" + " ".join(tokens[i : i + n])
-                idx = zlib.crc32(key.encode("utf-8")) % self.dim
-                counts[idx] = counts.get(idx, 0.0) + 1.0
-        for n in self.char_ngrams:
-            for i in range(len(text) - n + 1):
-                key = f"c{n}:" + text[i : i + n]
-                idx = zlib.crc32(key.encode("utf-8")) % self.dim
-                counts[idx] = counts.get(idx, 0.0) + 1.0
-        return counts
+        """Hashed n-gram counts of the normalised "context || candidate".
+
+        Counted in first-appearance order: word families, then char
+        families, each as prefix, junction and candidate part. That is the
+        order a left-to-right pass over the whole string emits them in.
+        """
+        memo = self._context_memo
+        if memo is None or memo[0] != context:
+            memo = self._context_memo = (context, self._side(context.casefold().split() + ["||"]))
+        prefix_tokens, prefix, prefix_parts = memo[1]
+        side = self._text_memo.get(candidate_text)
+        if side is None:
+            if len(self._text_memo) >= self.TEXT_MEMO_SIZE:
+                self._text_memo.clear()
+            side = self._text_memo[candidate_text] = self._side(candidate_text.casefold().split())
+        tokens, text, parts = side
+        hashed = array("I")
+        for k, n in enumerate(self.word_ngrams):
+            # at most n - 1 tokens from each side, so every n-gram spans both
+            window = prefix_tokens[max(0, len(prefix_tokens) - n + 1) :] + tokens[: n - 1]
+            hashed += prefix_parts[k]
+            hashed += self._hash(f"w{n}:", (" ".join(window[i : i + n]) for i in range(len(window) - n + 1)))
+            hashed += parts[k]
+        for k, n in enumerate(self.char_ngrams, len(self.word_ngrams)):
+            hashed += prefix_parts[k]
+            if text:
+                # every n-gram of the window holds the joining space
+                window = f"{prefix[max(0, len(prefix) - n + 1) :]} {text[: n - 1]}"
+                hashed += self._hash(f"c{n}:", (window[i : i + n] for i in range(len(window) - n + 1)))
+                hashed += parts[k]
+        return Counter(hashed)
+
+    def _side(self, tokens: list[str]) -> _Side:
+        """One side of the junction: its tokens, their joined text, and per
+        n-gram family the hashed n-grams that lie entirely inside it."""
+        text = " ".join(tokens)
+        parts = [
+            self._hash(f"w{n}:", (" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)))
+            for n in self.word_ngrams
+        ]
+        parts += [
+            self._hash(f"c{n}:", (text[i : i + n] for i in range(len(text) - n + 1)))
+            for n in self.char_ngrams
+        ]
+        return tokens, text, parts
+
+    def _hash(self, family: str, grams: Iterable[str]) -> array:
+        dim = self.dim
+        return array("I", [zlib.crc32(f"{family}{gram}".encode("utf-8")) % dim for gram in grams])
 
     def _score_features(self, feats: dict[int, float]) -> float:
         if not feats:

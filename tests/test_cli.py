@@ -47,6 +47,28 @@ def test_unknown_backend_exits_2(tmp_path):
     assert rc == 2
 
 
+def test_run_log_length_does_not_grow_with_parse_warnings(tmp_path):
+    malformed = ["no type here", "[and] x [T]", "w [Bad Type]", "a [T] [and] [and] b"]
+    logs = []
+    for n_malformed in (0, len(malformed)):
+        rd = tmp_path / f"malformed{n_malformed}"
+        cfg = build_demo_run(rd, seed=9, noisy=True)
+        script = json.loads((rd / "script.json").read_text())
+        for prompt, hypotheses in script.items():
+            if prompt.startswith("TriggerEvent:"):
+                hypotheses += [[text, -9.0 - i] for i, text in enumerate(malformed[:n_malformed])]
+            else:
+                hypotheses[0][0] += " </Stray>"
+        (rd / "script.json").write_text(json.dumps(script))
+        assert run(["preprocess", "--config", cfg, "--run-dir", rd]) == 0
+        assert run(["gen-candidates", "--config", cfg, "--run-dir", rd, "--split", "test"]) == 0
+        logs.append((rd / "run.log").read_text())
+    assert len(logs[0].splitlines()) == len(logs[1].splitlines())
+    assert "unmatched tag: " in logs[0] and "unparseable trigger segment" not in logs[0]
+    for kind in ("unparseable trigger segment", "event type contains whitespace", "empty trigger segment"):
+        assert f"{kind}: " in logs[1]
+
+
 def test_stagewise_run_matches_pipeline(tmp_path):
     cfg = build_demo_run(tmp_path / "staged", seed=6)
     rd = tmp_path / "staged"

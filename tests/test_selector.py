@@ -1,5 +1,6 @@
 import math
 import random
+import zlib
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from evex.selector import (
     softmax,
     train_selector,
 )
+from evex.synthetic import make_synthetic_corpus, noisy_script, ontology_from_corpus
 
 from util import oracle_fuse_select
 
@@ -135,6 +137,89 @@ def test_scorer_load_rejects_unknown_format(tmp_path):
     path.write_text('{"format": "other/9", "dim": 8, "word_ngrams": [1], "char_ngrams": [], "weights": {}}')
     with pytest.raises(ValueError, match="format"):
         HashedNgramScorer.load(path)
+
+
+def reference_features(scorer, context, candidate_text):
+    """The featurizer as one pass over the whole normalised pair, no memos."""
+    text = f"{context} || {candidate_text}".casefold()
+    text = " ".join(text.split())
+    counts: dict[int, float] = {}
+    tokens = text.split()
+    for n in scorer.word_ngrams:
+        for i in range(len(tokens) - n + 1):
+            key = f"w{n}:" + " ".join(tokens[i : i + n])
+            idx = zlib.crc32(key.encode("utf-8")) % scorer.dim
+            counts[idx] = counts.get(idx, 0.0) + 1.0
+    for n in scorer.char_ngrams:
+        for i in range(len(text) - n + 1):
+            key = f"c{n}:" + text[i : i + n]
+            idx = zlib.crc32(key.encode("utf-8")) % scorer.dim
+            counts[idx] = counts.get(idx, 0.0) + 1.0
+    return counts
+
+
+ODD_PIECES = [
+    "a", "Bc", " ", "\t", "\n", "ß", "ẞ", "İ", "ǅ", "ΟΔΟΣ", "ς", "[", "]", "[]",
+    "||", "|", "😀", "[none]", "x [T]",
+]
+
+
+def featurizer_pairs(rng):
+    """Shuffled (context, text) pairs from the synthetic corpus and its noisy
+    beams, and random strings of odd pieces; contexts interleave (A, B, A)."""
+    instances = make_synthetic_corpus(seed=5).all_instances()[:12]
+    script = noisy_script(instances, ontology_from_corpus(instances), seed=5)
+    contexts = [i.context for i in instances]
+    texts = sorted({t for hypotheses in script.values() for t, _ in hypotheses})
+    texts = rng.sample(texts, 12)
+    for _ in range(8):
+        contexts.append("".join(rng.choice(ODD_PIECES) for _ in range(rng.randint(1, 12))))
+        texts.append("".join(rng.choice(ODD_PIECES) for _ in range(rng.randint(1, 8))))
+    contexts += ["", " \t\n"]
+    texts += ["", " \n", "😀"]
+    pairs = [(c, t) for c in contexts for t in rng.sample(texts, 6)]
+    return pairs + rng.sample(pairs, len(pairs))
+
+
+@pytest.mark.parametrize("word_ngrams, char_ngrams", [((1, 2), (3, 4)), ((1, 2, 3), (2, 5)), ((1,), (1,)), ((), (3,))])
+@pytest.mark.parametrize("dim", [7, 64, 2**18])
+def test_features_match_whole_pair_reference(dim, word_ngrams, char_ngrams):
+    rng = random.Random(dim)
+    scorer = HashedNgramScorer(dim=dim, word_ngrams=word_ngrams, char_ngrams=char_ngrams)
+    scorer.weights = np.random.default_rng(dim).normal(size=dim)
+    for context, text in featurizer_pairs(rng):
+        want = reference_features(scorer, context, text)
+        got = scorer._features(context, text)
+        assert [(k, float(v)) for k, v in got.items()] == list(want.items())
+        assert scorer.score(context, text) == scorer._score_features(want)
+
+
+def test_scorer_rejects_nonpositive_ngram_length():
+    with pytest.raises(ValueError, match="n-gram"):
+        HashedNgramScorer(dim=64, word_ngrams=(0, 1))
+    with pytest.raises(ValueError, match="n-gram"):
+        HashedNgramScorer(dim=64, char_ngrams=(-1,))
+
+
+def test_scores_follow_weight_changes_after_memoised_scoring():
+    rng = random.Random(31)
+    pairs = featurizer_pairs(rng)[:60]
+    scorer = HashedNgramScorer(dim=2**10)
+    scorer.weights = np.random.default_rng(31).normal(size=scorer.dim)
+    before = [scorer.score(c, t) for c, t in pairs]
+
+    def assert_scores_as_fresh_scorer():
+        fresh = HashedNgramScorer(dim=scorer.dim)
+        fresh.weights = scorer.weights.copy()
+        got = [scorer.score(c, t) for c, t in pairs]
+        assert got == [fresh.score(c, t) for c, t in pairs]
+        assert got != before
+
+    context, text = pairs[0]
+    scorer.train_step([(context, text, [t for c, t in pairs[1:4]])], margin=5.0, learning_rate=0.1)
+    assert_scores_as_fresh_scorer()
+    scorer.weights = np.random.default_rng(32).normal(size=scorer.dim)
+    assert_scores_as_fresh_scorer()
 
 
 def test_analytic_subgradient_matches_central_differences():
