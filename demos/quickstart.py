@@ -11,6 +11,7 @@ from evex import (
     ContextInstance,
     EventFrame,
     GenerationConfig,
+    ScriptedBackend,
     SelectionConfig,
     Trigger,
     attach_argument_cache,
@@ -24,7 +25,6 @@ from evex import (
     generate_trigger_candidates,
     ontology_from_corpus,
     score_candidates,
-    toy_backend,
 )
 from evex.selector import HashedNgramScorer
 
@@ -57,7 +57,7 @@ for frame in instance.gold_frames:
 
 # A scripted backend stands in for a trained seq2seq model. Beam hypotheses
 # carry log-scale scores; note the junk hypothesis in the middle of the beam.
-backend = toy_backend(
+backend = ScriptedBackend(
     {
         build_trigger_prompt(instance.context, cfg): [
             ("attacked [Conflict_Attack]", -0.2),

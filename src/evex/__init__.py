@@ -11,97 +11,52 @@ from .codec import (
     CodecConfig,
     build_argument_prompt,
     build_trigger_prompt,
-    decode_argument_output,
-    decode_trigger_candidate,
     encode_argument_target,
     encode_trigger_target,
 )
-from .corpus import TrainingPair, load_corpus, make_corpus_pairs, make_training_pairs, write_corpus
-from .events import (
-    ArgumentPair,
-    ContextInstance,
-    EventFrame,
-    Ontology,
-    Trigger,
-    ontology_from_corpus,
-    validate_frame,
-)
+from .events import ArgumentPair, ContextInstance, EventFrame, Trigger, ontology_from_corpus
 from .generation import (
-    BackendError,
-    CandidateList,
     GenerationConfig,
     ScriptedBackend,
     Seq2SeqBackend,
-    TriggerCandidate,
     attach_argument_cache,
     frames_from_cache,
-    generate_arguments,
     generate_trigger_candidates,
-    toy_backend,
 )
-from .metrics import EvalReport, evaluate_corpus, f1_from_counts, match_counts
+from .metrics import evaluate_corpus
 from .selector import (
     HashedNgramScorer,
-    RankScorer,
     SelectionConfig,
     SelectorTrainConfig,
     fuse_and_select,
-    fuse_scores,
-    hinge_loss,
-    sample_negatives,
     score_candidates,
     train_selector,
 )
-from .tuning import GridSearchResult, evaluate_selection, grid_search
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ArgumentPair",
-    "BackendError",
-    "CandidateList",
     "CodecConfig",
     "ContextInstance",
-    "EvalReport",
     "EventFrame",
     "GenerationConfig",
-    "GridSearchResult",
     "HashedNgramScorer",
-    "Ontology",
-    "RankScorer",
     "ScriptedBackend",
     "SelectionConfig",
     "SelectorTrainConfig",
     "Seq2SeqBackend",
-    "TrainingPair",
     "Trigger",
-    "TriggerCandidate",
     "attach_argument_cache",
     "build_argument_prompt",
     "build_trigger_prompt",
-    "decode_argument_output",
-    "decode_trigger_candidate",
     "encode_argument_target",
     "encode_trigger_target",
     "evaluate_corpus",
-    "evaluate_selection",
-    "f1_from_counts",
     "frames_from_cache",
     "fuse_and_select",
-    "fuse_scores",
-    "generate_arguments",
     "generate_trigger_candidates",
-    "grid_search",
-    "hinge_loss",
-    "load_corpus",
-    "make_corpus_pairs",
-    "make_training_pairs",
-    "match_counts",
     "ontology_from_corpus",
-    "sample_negatives",
     "score_candidates",
-    "toy_backend",
     "train_selector",
-    "validate_frame",
-    "write_corpus",
 ]

@@ -51,6 +51,13 @@ def read_jsonl(path: str | Path, expect_hash: str | None = None) -> list[dict]:
     return rows
 
 
+def read_meta(path: str | Path) -> dict:
+    """The meta header of a JSONL artifact, {} if it has none."""
+    with Path(path).open(encoding="utf-8") as fh:
+        first = json.loads(fh.readline() or "{}")
+    return first.get(META_KEY, {})
+
+
 def write_json(path: str | Path, payload: dict, cfg_hash: str) -> None:
     payload = dict(payload)
     payload["config_hash"] = cfg_hash

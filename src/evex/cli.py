@@ -6,6 +6,7 @@ Stages read and write a run directory:
     ontology.json             induced role ontology
     load_report.{split}.json  corpus load problems
     candidates.{split}.jsonl  candidate lists with scores and cached arguments
+                              (rank scores cached under the selector.model digest)
     selector.model            rank scorer parameters + training trace
     tuning.csv / tuned.json   grid-search table and chosen (alpha, theta)
     predictions.jsonl         final frames per doc
@@ -19,6 +20,7 @@ Exit codes: 0 success, 2 config error, 3 missing artifact, 4 data error.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import logging
 import sys
@@ -70,6 +72,8 @@ from .tuning import (
 log = logging.getLogger("evex")
 
 SPLITS = ("train", "dev", "test")
+# candidates meta key: sha256 of the selector.model bytes the rank scores came from
+MODEL_DIGEST_KEY = "selector_sha256"
 
 
 class ConfigError(Exception):
@@ -100,10 +104,6 @@ def _build_toy_backend(params: dict, run_dir: Path) -> Seq2SeqBackend:
 
 
 BACKENDS = {"toy": _build_toy_backend}
-
-
-def register_backend(backend_id: str, factory) -> None:
-    BACKENDS[backend_id] = factory
 
 
 class RunConfig:
@@ -189,11 +189,10 @@ def _require(path: Path, hint: str) -> Path:
     return path
 
 
-def _build_backend(cfg: RunConfig, run_dir: Path, backend_id: str | None) -> Seq2SeqBackend:
-    backend_id = backend_id or cfg.backend_id
-    if backend_id not in BACKENDS:
-        raise ConfigError(f"unknown backend id: {backend_id!r} (registered: {sorted(BACKENDS)})")
-    return BACKENDS[backend_id](cfg.backend_params, run_dir)
+def _build_backend(cfg: RunConfig, run_dir: Path) -> Seq2SeqBackend:
+    if cfg.backend_id not in BACKENDS:
+        raise ConfigError(f"unknown backend id: {cfg.backend_id!r} (registered: {sorted(BACKENDS)})")
+    return BACKENDS[cfg.backend_id](cfg.backend_params, run_dir)
 
 
 def _read_pairs(run_dir: Path, cfg: RunConfig) -> list[TrainingPair]:
@@ -207,18 +206,15 @@ def _read_candidates(run_dir: Path, cfg: RunConfig, split: str) -> list[Candidat
     return [candidate_list_from_dict(r) for r in artifacts.read_jsonl(path, cfg.hash)]
 
 
-def _write_candidates(run_dir: Path, cfg: RunConfig, split: str, lists: list[CandidateList]) -> None:
+def _write_candidates(
+    run_dir: Path, cfg: RunConfig, split: str, lists: list[CandidateList], model_digest: str | None = None
+) -> None:
+    meta = {"artifact": "candidates", "split": split, "config_hash": cfg.hash}
+    if model_digest is not None:
+        meta[MODEL_DIGEST_KEY] = model_digest
     artifacts.write_jsonl(
-        run_dir / f"candidates.{split}.jsonl",
-        [candidate_list_to_dict(cl) for cl in lists],
-        {"artifact": "candidates", "split": split, "config_hash": cfg.hash},
+        run_dir / f"candidates.{split}.jsonl", [candidate_list_to_dict(cl) for cl in lists], meta
     )
-
-
-def _load_scorer(run_dir: Path, cfg: RunConfig) -> HashedNgramScorer:
-    path = _require(run_dir / "selector.model", "train-selector")
-    payload = artifacts.read_json(path, cfg.hash)
-    return HashedNgramScorer.from_dict(payload)
 
 
 def cmd_preprocess(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> None:
@@ -247,7 +243,7 @@ def cmd_preprocess(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> N
 def cmd_gen_candidates(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> None:
     split = args.split
     pairs = _read_pairs(run_dir, cfg)
-    backend = _build_backend(cfg, run_dir, args.backend)
+    backend = _build_backend(cfg, run_dir)
     backend.fit(pairs, cfg.backend_params.get("hyperparams"))
     instances = _load_split(cfg, run_dir, split)
     lists: list[CandidateList] = []
@@ -317,12 +313,18 @@ def cmd_train_selector(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) 
 def _scored_split(
     cfg: RunConfig, run_dir: Path, split: str
 ) -> list[tuple[ContextInstance, CandidateList]]:
-    """Candidates of a split with rank scores cached back to the artifact."""
+    """Candidates of a split with rank scores from the current selector.
+
+    The scores are cached in candidates.{split}.jsonl under the sha256 of the
+    selector.model bytes; any other model, a retrained one included, rescores.
+    """
     candidate_lists = _read_candidates(run_dir, cfg, split)
-    if any(c.rank_score is None for cl in candidate_lists for c in cl.candidates):
-        scorer = _load_scorer(run_dir, cfg)
+    model_path = _require(run_dir / "selector.model", "train-selector")
+    digest = hashlib.sha256(model_path.read_bytes()).hexdigest()
+    if artifacts.read_meta(run_dir / f"candidates.{split}.jsonl").get(MODEL_DIGEST_KEY) != digest:
+        scorer = HashedNgramScorer.from_dict(artifacts.read_json(model_path, cfg.hash))
         candidate_lists = [score_candidates(cl, scorer) for cl in candidate_lists]
-        _write_candidates(run_dir, cfg, split, candidate_lists)
+        _write_candidates(run_dir, cfg, split, candidate_lists, digest)
     instances = {i.doc_id: i for i in _load_split(cfg, run_dir, split)}
     paired = []
     for cl in candidate_lists:
@@ -333,8 +335,6 @@ def _scored_split(
 
 
 def cmd_tune(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> None:
-    _require(run_dir / "candidates.dev.jsonl", "gen-candidates on dev")
-    _require(run_dir / "selector.model", "train-selector")
     dev = _scored_split(cfg, run_dir, "dev")
     result = grid_search(dev, cfg.alpha_grid, cfg.theta_grid, cfg.metric)
     write_score_table(result.table, run_dir / "tuning.csv", comment=f"config_hash={cfg.hash}")
@@ -374,11 +374,10 @@ def _resolve_selection(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) 
 
 
 def cmd_predict(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> None:
-    split = args.split or "test"
+    split = args.split
     selection = _resolve_selection(cfg, run_dir, args)
     paired = _scored_split(cfg, run_dir, split)
     rows = []
-    fused_lists = []
     n_none_above = 0
     for _, cl in paired:
         triggers = fuse_and_select(cl, scorer=None, cfg=selection)
@@ -391,9 +390,6 @@ def cmd_predict(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> None
                 selection.alpha,
             )
             n_none_above += max(fused) <= selection.theta
-            cl = cl.with_fused_scores(fused)
-        fused_lists.append(cl)
-    _write_candidates(run_dir, cfg, split, fused_lists)
     artifacts.write_jsonl(
         run_dir / "predictions.jsonl",
         rows,
@@ -413,7 +409,7 @@ def cmd_predict(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> None
 
 
 def cmd_evaluate(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> None:
-    split = args.split or "test"
+    split = args.split
     path = _require(run_dir / "predictions.jsonl", "predict")
     rows = artifacts.read_jsonl(path, cfg.hash)
     predictions = [
@@ -429,7 +425,7 @@ def cmd_evaluate(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> Non
 
 
 def cmd_report(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> None:
-    split = args.split or "test"
+    split = args.split
     paired = _scored_split(cfg, run_dir, split)
     base = cfg.base_selection()
     alpha = base.alpha if args.alpha is None else args.alpha
@@ -480,15 +476,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Generate, re-rank, select, and evaluate event extractions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
+    commands = {name: sub.add_parser(name) for name in COMMANDS}
+    for p in commands.values():
         p.add_argument("--config", required=True, help="run config JSON")
         p.add_argument("--run-dir", default=None, help="artifact directory (default: config dir)")
-        p.add_argument("--split", choices=SPLITS, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--theta", type=float, default=None)
-        p.add_argument("--backend", default=None, help="backend id override")
+    # beyond those two, each subcommand takes only the flags it reads
+    commands["gen-candidates"].add_argument("--split", choices=SPLITS, required=True)
+    for name in ("predict", "evaluate", "report"):
+        commands[name].add_argument("--split", choices=SPLITS, default="test")
+    for name in ("train-selector", "pipeline"):
+        commands[name].add_argument("--seed", type=int, default=None)
+    for name in ("predict", "report", "pipeline"):
+        commands[name].add_argument("--alpha", type=float, default=None)
+        commands[name].add_argument("--theta", type=float, default=None)
     return parser
 
 
@@ -516,8 +516,6 @@ def main(argv: list[str] | None = None) -> int:
         run_dir = Path(args.run_dir) if args.run_dir else cfg.path.parent
         run_dir.mkdir(parents=True, exist_ok=True)
         _setup_logging(run_dir)
-        if args.split is not None and args.command in ("preprocess", "train-selector", "tune", "pipeline"):
-            log.debug("--split is ignored by %s", args.command)
         COMMANDS[args.command](cfg, run_dir, args)
     except (ConfigError, MissingArtifactError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .events import ArgumentPair, EventFrame, Ontology, Trigger, normalize_ws
+from .events import ArgumentPair, EventFrame, Ontology, Trigger, matches_token, normalize_ws
 
 # the final "[Type]" token of a segment; everything before it is the word
 _TRIGGER_SEGMENT_RE = re.compile(r"^(?P<word>.*\S)\s*\[\s*(?P<type>[^\[\]]+?)\s*\]$")
@@ -51,11 +51,6 @@ class CodecConfig:
             raise ValueError("codec tokens must be nonempty")
         if len(set(values)) != len(values):
             raise ValueError("codec tokens must be pairwise distinct")
-
-
-def matches_token(text: str, token: str) -> bool:
-    """Whitespace- and case-tolerant token equality, e.g. '[ None]' == '[none]'."""
-    return "".join(text.split()).casefold() == "".join(token.split()).casefold()
 
 
 def build_trigger_prompt(context: str, cfg: CodecConfig) -> str:

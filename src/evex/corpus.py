@@ -128,24 +128,6 @@ def write_corpus(instances: list[ContextInstance], path: str | Path) -> None:
             fh.write(json.dumps(instance_to_dict(instance), ensure_ascii=False) + "\n")
 
 
-# hooks for converting third-party corpus exports into the JSONL schema
-# above; no converters ship with the library (source datasets are licensed)
-_CONVERTERS: dict[str, object] = {}
-
-
-def register_converter(format_id: str, fn) -> None:
-    """Register a callable(src_path, dst_path) producing the JSONL schema."""
-    _CONVERTERS[format_id] = fn
-
-
-def convert_corpus(format_id: str, src: str | Path, dst: str | Path) -> None:
-    if format_id not in _CONVERTERS:
-        raise NotImplementedError(
-            f"no converter registered for {format_id!r}; use register_converter"
-        )
-    _CONVERTERS[format_id](Path(src), Path(dst))
-
-
 def make_training_pairs(
     instance: ContextInstance,
     ontology: Ontology,

@@ -16,9 +16,9 @@ def normalize_ws(text: str) -> str:
     return " ".join(text.split())
 
 
-def _is_none_literal(text: str) -> bool:
-    # tolerant of casing and internal spacing: "[None]", "[none]", "[ None]"
-    return "".join(text.split()).casefold() == "[none]"
+def matches_token(text: str, token: str) -> bool:
+    """Whitespace- and case-tolerant token equality, e.g. '[ None]' == '[none]'."""
+    return "".join(text.split()).casefold() == "".join(token.split()).casefold()
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class ArgumentPair:
             raise ValueError("argument role must be nonempty")
         if not entity:
             raise ValueError("argument entity must be nonempty")
-        if _is_none_literal(entity):
+        if matches_token(entity, "[None]"):
             raise ValueError("argument entity must not be the [None] placeholder")
         object.__setattr__(self, "role", role)
         object.__setattr__(self, "entity", entity)
@@ -159,15 +159,3 @@ def ontology_from_corpus(instances: list[ContextInstance]) -> Ontology:
                 if pair.role not in roles:
                     roles.append(pair.role)
     return Ontology({t: tuple(r) for t, r in roles_by_type.items()})
-
-
-def validate_frame(frame: EventFrame, ontology: Ontology) -> list[str]:
-    """Check a frame against the ontology. Returns violations, never raises."""
-    if frame.trigger.event_type not in ontology:
-        return [f"unknown event type: {frame.trigger.event_type}"]
-    allowed = ontology.roles_for(frame.trigger.event_type)
-    return [
-        f"unknown role {pair.role} for type {frame.trigger.event_type}"
-        for pair in frame.arguments
-        if pair.role not in allowed
-    ]

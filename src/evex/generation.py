@@ -17,10 +17,9 @@ from .codec import (
     build_trigger_prompt,
     decode_argument_output,
     decode_trigger_candidate,
-    matches_token,
 )
 from .corpus import TrainingPair
-from .events import ArgumentPair, ContextInstance, EventFrame, Trigger
+from .events import ArgumentPair, ContextInstance, EventFrame, Trigger, matches_token
 
 
 class BackendError(RuntimeError):
@@ -44,21 +43,17 @@ class GenerationConfig:
 class TriggerCandidate:
     """One beam hypothesis: raw text, parsed triggers, and its scores.
 
-    rank_score is filled once a selector has scored the candidate;
-    fused_score once a selection config has been applied.
+    rank_score is filled once a selector has scored the candidate.
     """
 
     raw_text: str
     triggers: tuple[Trigger, ...]
     beam_score: float
     rank_score: float | None = None
-    fused_score: float | None = None
 
     def __post_init__(self) -> None:
         if not _finite(self.beam_score):
             raise ValueError("beam score must be finite")
-        if self.fused_score is not None and not 0.0 <= self.fused_score <= 1.0:
-            raise ValueError("fused score must lie in [0, 1]")
         object.__setattr__(self, "triggers", tuple(self.triggers))
 
     def trigger_key(self) -> tuple[tuple[str, str], ...]:
@@ -93,16 +88,6 @@ class CandidateList:
             self,
             candidates=tuple(
                 replace(c, rank_score=s) for c, s in zip(self.candidates, scores)
-            ),
-        )
-
-    def with_fused_scores(self, scores: list[float]) -> "CandidateList":
-        if len(scores) != len(self.candidates):
-            raise ValueError("one fused score per candidate required")
-        return replace(
-            self,
-            candidates=tuple(
-                replace(c, fused_score=s) for c, s in zip(self.candidates, scores)
             ),
         )
 
@@ -158,10 +143,6 @@ class ScriptedBackend(Seq2SeqBackend):
     def generate_greedy(self, input_text: str) -> str:
         hypotheses = self._script.get(input_text)
         return hypotheses[0][0] if hypotheses else ""
-
-
-def toy_backend(script: dict[str, list[tuple[str, float]]]) -> ScriptedBackend:
-    return ScriptedBackend(script)
 
 
 def generate_trigger_candidates(
@@ -254,7 +235,6 @@ def candidate_list_to_dict(cl: CandidateList) -> dict:
                 "triggers": [{"word": t.word, "type": t.event_type} for t in c.triggers],
                 "beam_score": c.beam_score,
                 "rank_score": c.rank_score,
-                "fused_score": c.fused_score,
             }
             for c in cl.candidates
         ],
@@ -272,7 +252,6 @@ def candidate_list_from_dict(raw: dict) -> CandidateList:
             triggers=tuple(Trigger(t["word"], t["type"]) for t in c["triggers"]),
             beam_score=float(c["beam_score"]),
             rank_score=None if c.get("rank_score") is None else float(c["rank_score"]),
-            fused_score=None if c.get("fused_score") is None else float(c["fused_score"]),
         )
         for c in raw["candidates"]
     )

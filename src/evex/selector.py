@@ -15,8 +15,7 @@ pair only the few n-grams that cross the " || " junction. Hashing the same
 strings again in every epoch would dominate training, so a training call
 also keeps a feature table: each unique (context, text) pair becomes
 index/count arrays (in the order the hashing emits them), and every step
-scores and updates from those arrays. A pretrained text encoder with a
-projection head can be slotted in through the same RankScorer interface.
+scores and updates from those arrays.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import zlib
 from array import array
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -76,23 +75,7 @@ class SelectionConfig:
             raise ValueError("theta must lie in [0, 1]")
 
 
-class RankScorer:
-    """Scores the relevance of a candidate text to its context."""
-
-    def score(self, context: str, candidate_text: str) -> float:
-        raise NotImplementedError
-
-    def train_step(self, batch: list[ContrastiveItem], margin: float, learning_rate: float) -> float:
-        """One subgradient update on the batch; returns the pre-update loss."""
-        raise NotImplementedError
-
-    def training(self):
-        """Context manager around one training call; a scorer may keep work
-        that repeats across steps (such as featurization) until it exits."""
-        return nullcontext()
-
-
-class HashedNgramScorer(RankScorer):
+class HashedNgramScorer:
     """Linear scorer over hashed n-gram counts of "context || candidate".
 
     Deterministic: hashing uses crc32, weights start at zero. Context
@@ -214,6 +197,7 @@ class HashedNgramScorer(RankScorer):
 
     @contextmanager
     def training(self):
+        """Keep the feature table for the steps of one training call."""
         self._table = {}
         try:
             yield
@@ -221,6 +205,7 @@ class HashedNgramScorer(RankScorer):
             self._table = None
 
     def score(self, context: str, candidate_text: str) -> float:
+        """Relevance of a candidate text to its context."""
         return self._score_features(self._features(context, candidate_text))
 
     def loss_and_grad(
@@ -249,9 +234,10 @@ class HashedNgramScorer(RankScorer):
         return loss, grad
 
     def train_step(self, batch: list[ContrastiveItem], margin: float, learning_rate: float) -> float:
-        """The loss and update of loss_and_grad, computed from feature rows.
+        """One subgradient update on the batch; returns the pre-update loss.
 
-        Scores and the loss are summed in the same order as there. The
+        The loss and update of loss_and_grad, computed from feature rows,
+        with scores and the loss summed in the same order as there. The
         subgradient is a sum of integer counts, exact in any order, so it is
         accumulated per index with bincount.
         """
@@ -342,7 +328,7 @@ class SelectorTrainResult:
 
 
 def train_selector(
-    scorer: RankScorer,
+    scorer: HashedNgramScorer,
     data: list[tuple[str, list[Trigger], CandidateList]],
     cfg: SelectorTrainConfig,
     codec_cfg: CodecConfig | None = None,
@@ -407,7 +393,7 @@ def fuse_scores(rank_scores: list[float], beam_scores: list[float], alpha: float
     return [alpha * pi + (1.0 - alpha) * qi for pi, qi in zip(p, q)]
 
 
-def score_candidates(candidates: CandidateList, scorer: RankScorer) -> CandidateList:
+def score_candidates(candidates: CandidateList, scorer: HashedNgramScorer) -> CandidateList:
     """Fill rank scores for every candidate in the list."""
     return candidates.with_rank_scores(
         [scorer.score(candidates.context, c.raw_text) for c in candidates.candidates]
@@ -416,7 +402,7 @@ def score_candidates(candidates: CandidateList, scorer: RankScorer) -> Candidate
 
 def fuse_and_select(
     candidates: CandidateList,
-    scorer: RankScorer | None,
+    scorer: HashedNgramScorer | None,
     cfg: SelectionConfig,
 ) -> list[Trigger]:
     """Select final triggers: fused score strictly above theta.

@@ -3,7 +3,9 @@ import json
 import logging
 from pathlib import Path
 
-from evex.cli import main
+import pytest
+
+from evex.cli import build_parser, main
 from evex.synthetic import build_demo_run
 
 F1_KEYS = ("trig_i", "trig_c", "arg_i", "arg_c")
@@ -41,10 +43,50 @@ def test_missing_corpus_exits_4(tmp_path):
 
 
 def test_unknown_backend_exits_2(tmp_path):
-    cfg = build_demo_run(tmp_path, seed=1)
-    assert run(["preprocess", "--config", cfg, "--run-dir", tmp_path]) == 0
-    rc = run(["gen-candidates", "--config", cfg, "--run-dir", tmp_path, "--split", "train", "--backend", "bert"])
-    assert rc == 2
+    cfg_path = build_demo_run(tmp_path, seed=1)
+    assert run(["preprocess", "--config", cfg_path, "--run-dir", tmp_path]) == 0
+    cfg = json.loads(cfg_path.read_text())
+    cfg["backend"]["id"] = "bert"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run(["gen-candidates", "--config", cfg_path, "--run-dir", tmp_path, "--split", "train"]) == 2
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("preprocess", "--split=train"),
+        ("gen-candidates", "--seed=1"),
+        ("gen-candidates", "--alpha=0.3"),
+        ("gen-candidates", "--backend=toy"),
+        ("train-selector", "--split=train"),
+        ("train-selector", "--theta=0.3"),
+        ("tune", "--alpha=0.3"),
+        ("tune", "--split=dev"),
+        ("tune", "--seed=1"),
+        ("predict", "--seed=1"),
+        ("evaluate", "--alpha=0.3"),
+        ("report", "--seed=1"),
+        ("pipeline", "--split=test"),
+    ],
+)
+def test_flag_a_subcommand_does_not_read_exits_2(command, flag):
+    argv = [command, "--config", "config.json", flag]
+    if command == "gen-candidates":
+        argv.append("--split=train")
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+
+
+def test_benchmark_stage_calls_parse(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import run as bench_run
+
+    parser = build_parser()
+    calls = [argv for w in bench_run.WORKLOADS.values() for argv in w.stages("config.json", "rd")]
+    assert calls
+    for argv in calls:
+        parser.parse_args(argv)
 
 
 def test_run_log_length_does_not_grow_with_parse_warnings(tmp_path):
@@ -111,15 +153,25 @@ def test_predict_cli_overrides(tmp_path):
     assert (meta["alpha"], meta["theta"]) == (0.9, 0.45)
 
 
-def test_predict_caches_rank_and_fused_scores(tmp_path):
-    cfg_path = build_demo_run(tmp_path, seed=8)
-    assert run(["pipeline", "--config", cfg_path, "--run-dir", tmp_path]) == 0
-    lines = (tmp_path / "candidates.test.jsonl").read_text().splitlines()[1:]
-    for line in lines:
-        row = json.loads(line)
-        for candidate in row["candidates"]:
-            assert candidate["rank_score"] is not None
-            assert 0.0 <= candidate["fused_score"] <= 1.0
+def dev_rank_scores(run_dir: Path) -> list:
+    rows = (run_dir / "candidates.dev.jsonl").read_text().splitlines()[1:]
+    return [[c["rank_score"] for c in json.loads(row)["candidates"]] for row in rows]
+
+
+def test_retrained_selector_rescores_cached_candidates(tmp_path):
+    retrained, fresh = tmp_path / "retrained", tmp_path / "fresh"
+    for rd in (retrained, fresh):
+        build_demo_run(rd, seed=9, noisy=True)
+    assert run(["pipeline", "--config", retrained / "config.json", "--run-dir", retrained]) == 0
+    seed0_scores = dev_rank_scores(retrained)
+    assert run(["train-selector", "--config", retrained / "config.json", "--run-dir", retrained, "--seed", 5]) == 0
+    assert run(["tune", "--config", retrained / "config.json", "--run-dir", retrained]) == 0
+    assert run(["pipeline", "--config", fresh / "config.json", "--run-dir", fresh, "--seed", 5]) == 0
+
+    assert (retrained / "selector.model").read_bytes() == (fresh / "selector.model").read_bytes()
+    assert dev_rank_scores(fresh) != seed0_scores
+    assert dev_rank_scores(retrained) == dev_rank_scores(fresh)
+    assert (retrained / "tuning.csv").read_bytes() == (fresh / "tuning.csv").read_bytes()
 
 
 def artifact_hashes(run_dir: Path) -> dict:

@@ -214,17 +214,6 @@ def test_emitted_targets_decode_back():
                 assert set(decoded_args) <= all_args
 
 
-def test_converter_stub_interface(tmp_path):
-    from evex.corpus import convert_corpus, register_converter
-
-    with pytest.raises(NotImplementedError, match="register_converter"):
-        convert_corpus("brat", tmp_path / "in", tmp_path / "out.jsonl")
-    calls = []
-    register_converter("brat", lambda src, dst: calls.append((src, dst)))
-    convert_corpus("brat", tmp_path / "in", tmp_path / "out.jsonl")
-    assert len(calls) == 1
-
-
 def test_make_corpus_pairs_include_empty_toggle():
     two_event, role_filler = fig3_style_corpus()
     empty = ContextInstance("d3", "quiet day .", ())

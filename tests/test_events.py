@@ -6,10 +6,8 @@ from evex.events import (
     ArgumentPair,
     ContextInstance,
     EventFrame,
-    Ontology,
     Trigger,
     ontology_from_corpus,
-    validate_frame,
 )
 
 
@@ -106,9 +104,3 @@ def test_ontology_rejects_angle_bracket_roles():
     with pytest.raises(ValueError, match="angle brackets"):
         ontology_from_corpus([inst])
 
-
-def test_validate_frame_messages():
-    onto = Ontology({"T": ("Agent", "Place")})
-    assert validate_frame(frame("w", "T", ("Agent", "x")), onto) == []
-    assert validate_frame(frame("w", "X"), onto) == ["unknown event type: X"]
-    assert validate_frame(frame("w", "T", ("Foo", "x")), onto) == ["unknown role Foo for type T"]

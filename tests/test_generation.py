@@ -15,7 +15,6 @@ from evex.generation import (
     frames_from_cache,
     generate_arguments,
     generate_trigger_candidates,
-    toy_backend,
 )
 
 CFG = CodecConfig()
@@ -32,7 +31,7 @@ def test_generation_config_defaults_and_validation():
 
 def test_scripted_backend_contract():
     prompt = "TriggerEvent: x ."
-    backend = toy_backend({prompt: [("a [T]", -0.5), ("b [T]", -0.1), ("c [T]", -0.9)]})
+    backend = ScriptedBackend({prompt: [("a [T]", -0.5), ("b [T]", -0.1), ("c [T]", -0.9)]})
     top = backend.generate_topk(prompt, 2)
     assert top == [("b [T]", -0.1), ("a [T]", -0.5)]  # sorted, truncated to k
     assert backend.generate_greedy(prompt) == "b [T]"
@@ -69,7 +68,7 @@ def instance(context="He went home .", frames=()):
 
 def test_candidate_dedup_keeps_highest_beam_score():
     prompt = build_trigger_prompt("He went home .", CFG)
-    backend = toy_backend(
+    backend = ScriptedBackend(
         {prompt: [("went [Movement_Transport]", -0.1), ("went [Movement_Transport]", -0.4)]}
     )
     cl, warnings = generate_trigger_candidates(backend, instance(), GEN, CFG)
@@ -80,7 +79,7 @@ def test_candidate_dedup_keeps_highest_beam_score():
 
 def test_unparseable_hypothesis_dropped_with_warning():
     prompt = build_trigger_prompt("He went home .", CFG)
-    backend = toy_backend({prompt: [("killed [Life_Die]", -0.2), ("noise", -0.3)]})
+    backend = ScriptedBackend({prompt: [("killed [Life_Die]", -0.2), ("noise", -0.3)]})
     cl, warnings = generate_trigger_candidates(backend, instance(), GEN, CFG)
     assert len(cl.candidates) == 1
     assert len(warnings) == 1
@@ -88,14 +87,14 @@ def test_unparseable_hypothesis_dropped_with_warning():
 
 def test_backend_with_fewer_hypotheses_than_beam_width():
     prompt = build_trigger_prompt("He went home .", CFG)
-    backend = toy_backend({prompt: [(f"w{i} [T]", -float(i)) for i in range(3)]})
+    backend = ScriptedBackend({prompt: [(f"w{i} [T]", -float(i)) for i in range(3)]})
     cl, _ = generate_trigger_candidates(backend, instance(), GEN, CFG)
     assert len(cl.candidates) == 3
 
 
 def test_empty_token_survives_as_no_event_candidate():
     prompt = build_trigger_prompt("He went home .", CFG)
-    backend = toy_backend({prompt: [("[none]", -0.1), ("went [T]", -0.5)]})
+    backend = ScriptedBackend({prompt: [("[none]", -0.1), ("went [T]", -0.5)]})
     cl, _ = generate_trigger_candidates(backend, instance(), GEN, CFG)
     assert [c.raw_text for c in cl.candidates] == ["[none]", "went [T]"]
     assert cl.candidates[0].triggers == ()
@@ -104,7 +103,7 @@ def test_empty_token_survives_as_no_event_candidate():
 def test_candidates_sorted_and_truncated():
     prompt = build_trigger_prompt("He went home .", CFG)
     entries = [(f"w{i} [T]", -0.1 * i) for i in range(15)]
-    backend = toy_backend({prompt: entries})
+    backend = ScriptedBackend({prompt: entries})
     cl, _ = generate_trigger_candidates(backend, instance(), GEN, CFG)
     assert len(cl.candidates) == GEN.beam_width
     scores = [c.beam_score for c in cl.candidates]
@@ -123,7 +122,7 @@ def test_backend_failure_carries_doc_id():
 def test_generate_arguments_decodes_target():
     context = "And gave ... then went home ... killed him ."
     prompt = build_argument_prompt(context, "killed", CFG)
-    backend = toy_backend(
+    backend = ScriptedBackend(
         {prompt: [("<Agent> father - in - law </Agent> <Place> home </Place>", -0.05)]}
     )
     pairs, warnings = generate_arguments(backend, context, Trigger("killed", "Life_Die"), CFG)
@@ -134,7 +133,7 @@ def test_generate_arguments_decodes_target():
 def test_generate_arguments_all_none_slots():
     context = "He went home ."
     prompt = build_argument_prompt(context, "went", CFG)
-    backend = toy_backend({prompt: [("<Artifact> [None] </Artifact> <Place> [None] </Place>", -0.1)]})
+    backend = ScriptedBackend({prompt: [("<Artifact> [None] </Artifact> <Place> [None] </Place>", -0.1)]})
     pairs, warnings = generate_arguments(backend, context, Trigger("went", "Movement_Transport"), CFG)
     assert pairs == [] and warnings == []
 
@@ -142,7 +141,7 @@ def test_generate_arguments_all_none_slots():
 def test_generate_arguments_malformed_output():
     context = "He went home ."
     prompt = build_argument_prompt(context, "went", CFG)
-    backend = toy_backend({prompt: [("<Artifact> half open", -0.1)]})
+    backend = ScriptedBackend({prompt: [("<Artifact> half open", -0.1)]})
     pairs, warnings = generate_arguments(backend, context, Trigger("went", "T"), CFG)
     assert pairs == [] and warnings
 
@@ -151,7 +150,7 @@ def test_argument_cache_and_frame_assembly():
     context = "a b c ."
     trig_prompt = build_trigger_prompt(context, CFG)
     arg_prompt = build_argument_prompt(context, "b", CFG)
-    backend = toy_backend(
+    backend = ScriptedBackend(
         {
             trig_prompt: [("b [T]", -0.1)],
             arg_prompt: [("<R> a </R>", -0.1)],
@@ -170,7 +169,7 @@ def test_candidate_generation_deterministic():
     context = "alpha beta gamma ."
     prompt = build_trigger_prompt(context, CFG)
     entries = [(f"w{i} [T{i % 2}]", rng.uniform(-3, 0)) for i in range(8)]
-    backend = toy_backend({prompt: entries})
+    backend = ScriptedBackend({prompt: entries})
     first, _ = generate_trigger_candidates(backend, instance(context), GEN, CFG)
     second, _ = generate_trigger_candidates(backend, instance(context), GEN, CFG)
     assert first == second
@@ -179,7 +178,7 @@ def test_candidate_generation_deterministic():
 def test_candidate_list_dict_roundtrip():
     context = "a b ."
     prompt = build_trigger_prompt(context, CFG)
-    backend = toy_backend({prompt: [("a [T]", -0.25), ("[none]", -0.5)]})
+    backend = ScriptedBackend({prompt: [("a [T]", -0.25), ("[none]", -0.5)]})
     lists, _ = generate_trigger_candidates(backend, instance(context), GEN, CFG)
     lists = lists.with_rank_scores([0.5, -0.5])
     raw = candidate_list_to_dict(lists)
