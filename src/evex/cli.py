@@ -57,6 +57,7 @@ from .selector import (
     SelectorTrainConfig,
     fuse_and_select,
     fuse_scores,
+    kept_indices,
     score_candidates,
     train_selector,
 )
@@ -88,24 +89,6 @@ class DataError(Exception):
     exit_code = 4
 
 
-def _build_toy_backend(params: dict, run_dir: Path) -> Seq2SeqBackend:
-    script = params.get("script")
-    if script is None:
-        return ScriptedBackend()
-    if isinstance(script, str):
-        script_path = Path(script)
-        if not script_path.is_absolute():
-            script_path = run_dir / script_path
-        try:
-            script = json.loads(script_path.read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigError(f"cannot read backend script {script_path}: {exc}") from exc
-    return ScriptedBackend({k: [tuple(h) for h in v] for k, v in script.items()})
-
-
-BACKENDS = {"toy": _build_toy_backend}
-
-
 class RunConfig:
     """Validated view of the run-config JSON file."""
 
@@ -115,9 +98,10 @@ class RunConfig:
         self.hash = artifacts.config_hash(raw)
         try:
             self.corpus = {k: str(v) for k, v in raw.get("corpus", {}).items()}
-            self.backend_id = raw.get("backend", {}).get("id", "toy")
-            self.backend_params = dict(raw.get("backend", {}))
-            self.backend_params.pop("id", None)
+            backend = dict(raw.get("backend", {}))
+            self.backend_id, self.backend_script = backend.pop("id", "toy"), backend.pop("script", None)
+            if backend:
+                raise ValueError(f"unknown backend key(s): {sorted(backend)}")
             self.codec = CodecConfig(**raw.get("codec", {}))
             self.generation = GenerationConfig(**raw.get("generation", {}))
             self.selector_train = SelectorTrainConfig(**raw.get("selector_train", {}))
@@ -190,9 +174,20 @@ def _require(path: Path, hint: str) -> Path:
 
 
 def _build_backend(cfg: RunConfig, run_dir: Path) -> Seq2SeqBackend:
-    if cfg.backend_id not in BACKENDS:
-        raise ConfigError(f"unknown backend id: {cfg.backend_id!r} (registered: {sorted(BACKENDS)})")
-    return BACKENDS[cfg.backend_id](cfg.backend_params, run_dir)
+    if cfg.backend_id != "toy":
+        raise ConfigError(f"unknown backend id: {cfg.backend_id!r} (known: 'toy')")
+    script = cfg.backend_script
+    if script is None:
+        return ScriptedBackend()
+    if isinstance(script, str):
+        script_path = Path(script)
+        if not script_path.is_absolute():
+            script_path = run_dir / script_path
+        try:
+            script = json.loads(script_path.read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise ConfigError(f"cannot read backend script {script_path}: {exc}") from exc
+    return ScriptedBackend({k: [tuple(h) for h in v] for k, v in script.items()})
 
 
 def _read_pairs(run_dir: Path, cfg: RunConfig) -> list[TrainingPair]:
@@ -244,7 +239,7 @@ def cmd_gen_candidates(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) 
     split = args.split
     pairs = _read_pairs(run_dir, cfg)
     backend = _build_backend(cfg, run_dir)
-    backend.fit(pairs, cfg.backend_params.get("hyperparams"))
+    backend.fit(pairs)
     instances = _load_split(cfg, run_dir, split)
     lists: list[CandidateList] = []
     warning_kinds: Counter[str] = Counter()
@@ -274,14 +269,10 @@ def cmd_gen_candidates(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) 
 
 
 def cmd_train_selector(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> None:
-    candidate_lists = _read_candidates(run_dir, cfg, "train")
-    instances = {i.doc_id: i for i in _load_split(cfg, run_dir, "train")}
-    data = []
-    for cl in candidate_lists:
-        if cl.doc_id not in instances:
-            raise DataError(f"candidates doc {cl.doc_id!r} not present in train corpus")
-        gold = [f.trigger for f in instances[cl.doc_id].gold_frames]
-        data.append((cl.context, gold, cl))
+    data = [
+        (cl.context, [f.trigger for f in instance.gold_frames], cl)
+        for instance, cl in _with_gold(cfg, run_dir, "train", _read_candidates(run_dir, cfg, "train"))
+    ]
     train_cfg = cfg.selector_train
     if args.seed is not None:
         train_cfg = replace(train_cfg, seed=args.seed)
@@ -310,9 +301,7 @@ def cmd_train_selector(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) 
     )
 
 
-def _scored_split(
-    cfg: RunConfig, run_dir: Path, split: str
-) -> list[tuple[ContextInstance, CandidateList]]:
+def _scored_candidates(cfg: RunConfig, run_dir: Path, split: str) -> list[CandidateList]:
     """Candidates of a split with rank scores from the current selector.
 
     The scores are cached in candidates.{split}.jsonl under the sha256 of the
@@ -325,9 +314,16 @@ def _scored_split(
         scorer = HashedNgramScorer.from_dict(artifacts.read_json(model_path, cfg.hash))
         candidate_lists = [score_candidates(cl, scorer) for cl in candidate_lists]
         _write_candidates(run_dir, cfg, split, candidate_lists, digest)
+    return candidate_lists
+
+
+def _with_gold(
+    cfg: RunConfig, run_dir: Path, split: str, lists: list[CandidateList]
+) -> list[tuple[ContextInstance, CandidateList]]:
+    """Each candidate list paired with its instance in the split's corpus."""
     instances = {i.doc_id: i for i in _load_split(cfg, run_dir, split)}
     paired = []
-    for cl in candidate_lists:
+    for cl in lists:
         if cl.doc_id not in instances:
             raise DataError(f"candidates doc {cl.doc_id!r} not present in {split} corpus")
         paired.append((instances[cl.doc_id], cl))
@@ -335,7 +331,7 @@ def _scored_split(
 
 
 def cmd_tune(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> None:
-    dev = _scored_split(cfg, run_dir, "dev")
+    dev = _with_gold(cfg, run_dir, "dev", _scored_candidates(cfg, run_dir, "dev"))
     result = grid_search(dev, cfg.alpha_grid, cfg.theta_grid, cfg.metric)
     write_score_table(result.table, run_dir / "tuning.csv", comment=f"config_hash={cfg.hash}")
     artifacts.write_json(
@@ -376,20 +372,16 @@ def _resolve_selection(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) 
 def cmd_predict(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> None:
     split = args.split
     selection = _resolve_selection(cfg, run_dir, args)
-    paired = _scored_split(cfg, run_dir, split)
     rows = []
     n_none_above = 0
-    for _, cl in paired:
+    for cl in _scored_candidates(cfg, run_dir, split):
         triggers = fuse_and_select(cl, scorer=None, cfg=selection)
         frames = frames_from_cache(cl, triggers)
         rows.append({"doc_id": cl.doc_id, "events": [frame_to_dict(f) for f in frames]})
-        if cl.candidates:
-            fused = fuse_scores(
-                [c.rank_score for c in cl.candidates],
-                [c.beam_score for c in cl.candidates],
-                selection.alpha,
-            )
-            n_none_above += max(fused) <= selection.theta
+        # a selected trigger means some candidate cleared theta
+        if cl.candidates and not triggers:
+            ranks, beams = [c.rank_score for c in cl.candidates], [c.beam_score for c in cl.candidates]
+            n_none_above += not kept_indices(fuse_scores(ranks, beams, selection.alpha), selection.theta)
     artifacts.write_jsonl(
         run_dir / "predictions.jsonl",
         rows,
@@ -426,7 +418,7 @@ def cmd_evaluate(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> Non
 
 def cmd_report(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> None:
     split = args.split
-    paired = _scored_split(cfg, run_dir, split)
+    paired = _with_gold(cfg, run_dir, split, _scored_candidates(cfg, run_dir, split))
     base = cfg.base_selection()
     alpha = base.alpha if args.alpha is None else args.alpha
     theta = base.theta if args.theta is None else args.theta
@@ -487,26 +479,38 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("train-selector", "pipeline"):
         commands[name].add_argument("--seed", type=int, default=None)
     for name in ("predict", "report", "pipeline"):
-        commands[name].add_argument("--alpha", type=float, default=None)
-        commands[name].add_argument("--theta", type=float, default=None)
+        commands[name].add_argument("--alpha", type=_unit_interval, default=None)
+        commands[name].add_argument("--theta", type=_unit_interval, default=None)
     return parser
 
 
+def _unit_interval(text: str) -> float:
+    """argparse type of --alpha and --theta: a float in [0, 1], nan excluded."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not in [0, 1]")
+    return value
+
+
+# marks the handlers main() installs, so that the next call replaces them
+HANDLER_NAME = "evex.cli"
+
+
 def _setup_logging(run_dir: Path) -> None:
+    """INFO to the current sys.stderr, DEBUG to run_dir/run.log, in place of the last call's."""
     log.setLevel(logging.DEBUG)
-    for handler in list(log.handlers):
-        if isinstance(handler, logging.FileHandler):
-            handler.close()
-            log.removeHandler(handler)
-    if not log.handlers:
-        stream = logging.StreamHandler(sys.stderr)
-        stream.setLevel(logging.INFO)
-        stream.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
-        log.addHandler(stream)
+    for handler in [h for h in log.handlers if h.get_name() == HANDLER_NAME]:
+        handler.close()
+        log.removeHandler(handler)
+    stream = logging.StreamHandler(sys.stderr)
+    stream.setLevel(logging.INFO)
+    stream.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
     file_handler = logging.FileHandler(run_dir / "run.log", encoding="utf-8")
     file_handler.setLevel(logging.DEBUG)
     file_handler.setFormatter(logging.Formatter("%(asctime)s %(levelname)s %(message)s"))
-    log.addHandler(file_handler)
+    for handler in (stream, file_handler):
+        handler.set_name(HANDLER_NAME)
+        log.addHandler(handler)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -29,14 +29,10 @@ class BackendError(RuntimeError):
 @dataclass(frozen=True)
 class GenerationConfig:
     beam_width: int = 10
-    max_input_len: int = 650
-    max_output_len: int = 200
 
     def __post_init__(self) -> None:
         if self.beam_width < 1:
             raise ValueError("beam_width must be >= 1")
-        if self.max_input_len < 1 or self.max_output_len < 1:
-            raise ValueError("sequence lengths must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -100,7 +96,7 @@ class Seq2SeqBackend:
     given fixed state.
     """
 
-    def fit(self, pairs: list[TrainingPair], hyperparams: dict | None = None) -> None:
+    def fit(self, pairs: list[TrainingPair]) -> None:
         raise NotImplementedError
 
     def generate_topk(self, input_text: str, k: int) -> list[tuple[str, float]]:
@@ -127,7 +123,7 @@ class ScriptedBackend(Seq2SeqBackend):
                     raise ValueError("scripted scores must be finite")
             self._script[input_text] = sorted(entries, key=lambda ts: -ts[1])
 
-    def fit(self, pairs: list[TrainingPair], hyperparams: dict | None = None) -> None:
+    def fit(self, pairs: list[TrainingPair]) -> None:
         memorized: dict[str, list[str]] = {}
         for pair in pairs:
             targets = memorized.setdefault(pair.input, [])

@@ -353,11 +353,12 @@ def train_selector(
             return []
         return [(context, encode_trigger(t, codec_cfg), negatives) for t in gold]
 
-    if not any(batch_for(row, 0) for row in data):
+    # whether a row yields a batch does not depend on the sampling seed
+    n_trained = sum(1 for row in data if batch_for(row, 0))
+    if not n_trained:
         raise ValueError("untrainable dataset: no instance with both a positive and a negative")
 
-    result = SelectorTrainResult()
-    first_epoch = True
+    result = SelectorTrainResult(n_trained=n_trained, n_skipped=len(data) - n_trained)
     with scorer.training():
         for _ in range(cfg.epochs):
             order = list(range(len(data)))
@@ -365,19 +366,15 @@ def train_selector(
             epoch_loss = 0.0
             for i in order:
                 batch = batch_for(data[i], rng.randrange(2**31))
-                if not batch:
-                    if first_epoch:
-                        result.n_skipped += 1
-                    continue
-                if first_epoch:
-                    result.n_trained += 1
-                epoch_loss += scorer.train_step(batch, cfg.margin, cfg.learning_rate)
+                if batch:
+                    epoch_loss += scorer.train_step(batch, cfg.margin, cfg.learning_rate)
             result.loss_per_epoch.append(epoch_loss)
-            first_epoch = False
     return result
 
 
 def softmax(scores: list[float]) -> list[float]:
+    if not scores:
+        return []
     arr = np.asarray(scores, dtype=np.float64)
     arr = arr - arr.max()
     exp = np.exp(arr)
@@ -412,8 +409,6 @@ def fuse_and_select(
     triggers of the selected candidates, deduplicated, in first-appearance
     order; the explicit no-event candidate contributes no triggers.
     """
-    if not candidates.candidates:
-        return []
     if scorer is not None:
         scored = score_candidates(candidates, scorer)
     else:
@@ -423,8 +418,13 @@ def fuse_and_select(
     rank_scores = [c.rank_score for c in scored.candidates]
     beam_scores = [c.beam_score for c in scored.candidates]
     fused = fuse_scores(rank_scores, beam_scores, cfg.alpha)
-    # strict inequality: an exact tie at theta selects nothing
-    return selected_triggers(scored, [i for i, score in enumerate(fused) if score > cfg.theta])
+    return selected_triggers(scored, kept_indices(fused, cfg.theta))
+
+
+def kept_indices(fused: Sequence[float], theta: float) -> tuple[int, ...]:
+    """The selection rule: indices of the fused scores strictly above theta,
+    ascending. An exact tie at theta selects nothing."""
+    return tuple(i for i, score in enumerate(fused) if score > theta)
 
 
 def selected_triggers(candidates: CandidateList, kept: Sequence[int]) -> list[Trigger]:

@@ -67,9 +67,6 @@ class SyntheticData:
     def all_instances(self) -> list[ContextInstance]:
         return self.train + self.dev + self.test
 
-    def ontology(self) -> Ontology:
-        return ontology_from_corpus(self.train)
-
 
 def _event_clause(rng: random.Random, used_triggers: set[str]) -> tuple[str, EventFrame]:
     event_type = rng.choice([TRANSPORT, DIE, ATTACK])

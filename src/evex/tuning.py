@@ -2,12 +2,12 @@
 
 The search selects with cached candidate scores and cached argument
 predictions; it never calls a generation backend. One sweep scores every
-cell: it softmaxes the rank and beam scores once per doc and fuses them once
-per (doc, alpha). A doc's match counts depend only on which candidates clear
-theta, and those kept sets only grow as theta falls, so each doc's counts are
-memoised by kept set and summed into integer totals per cell. The reports
-equal those of evaluate_selection, the per-cell reference. Ties break toward
-the smaller threshold, then the smaller weight.
+cell: per doc it softmaxes the rank and beam scores once, fuses them once per
+alpha, and applies the selection rule (selector.kept_indices) once per cell.
+Cells that keep the same candidates share one match count, computed once
+per kept set and added into the integer totals of those cells. The reports equal
+those of evaluate_selection, the per-cell reference. Ties break toward the
+smaller threshold, then the smaller weight.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from .events import ContextInstance
 from .generation import CandidateList, frames_from_cache
 from .metrics import SUBTASKS, TRIG_C, EvalReport, SubtaskScore, evaluate_corpus, match_counts
-from .selector import SelectionConfig, fuse_and_select, selected_triggers, softmax
+from .selector import SelectionConfig, fuse_and_select, kept_indices, selected_triggers, softmax
 
 DEFAULT_ALPHA_GRID = tuple(round(i * 0.1, 1) for i in range(11))  # 0.0 .. 1.0
 DEFAULT_THETA_GRID = tuple(round(i * 0.05, 2) for i in range(1, 20))  # 0.05 .. 0.95
@@ -70,49 +70,31 @@ def sweep_selection(
     Doc ids must be unique (load_corpus skips repeats): counts are kept per
     doc, while evaluate_corpus would pool the frames of docs sharing an id.
     """
-    columns: dict[float, dict[float, int]] = {}  # alpha -> theta -> its column in totals
-    for alpha, theta in cells:
-        columns.setdefault(alpha, {}).setdefault(theta, len(columns[alpha]))
-    thetas = {alpha: np.array(list(by_theta), dtype=np.float64) for alpha, by_theta in columns.items()}
-    # correct/pred/gold counts per (alpha, theta column, subtask)
-    totals = {alpha: np.zeros((len(ts), len(SUBTASKS), 3), dtype=np.int64) for alpha, ts in thetas.items()}
+    alphas = list(dict.fromkeys(alpha for alpha, _ in cells))
+    # correct/pred/gold counts per (cell, subtask)
+    totals = np.zeros((len(cells), len(SUBTASKS), 3), dtype=np.int64)
     doc_ids: set[str] = set()
     for instance, candidates in dev:
         if instance.doc_id in doc_ids:
             raise ValueError(f"duplicate doc_id in dev set: {instance.doc_id!r}")
         doc_ids.add(instance.doc_id)
-        gold = list(instance.gold_frames)
-        memo: dict[tuple[int, ...], np.ndarray] = {}
-
-        def counts(kept: tuple[int, ...]) -> np.ndarray:
-            if kept not in memo:
-                frames = frames_from_cache(candidates, selected_triggers(candidates, kept))
-                memo[kept] = np.array([match_counts(frames, gold, name) for name in SUBTASKS])
-            return memo[kept]
-
-        if not candidates.candidates:
-            for alpha_totals in totals.values():
-                alpha_totals += counts(())
-            continue
         if any(c.rank_score is None for c in candidates.candidates):
             raise ValueError(f"candidates of doc {candidates.doc_id!r} carry no rank scores")
-        p = np.asarray(softmax([c.rank_score for c in candidates.candidates]))
-        q = np.asarray(softmax([c.beam_score for c in candidates.candidates]))
-        for alpha, alpha_thetas in thetas.items():
-            fused = alpha * p + (1.0 - alpha) * q  # fuse_scores, elementwise
-            above = fused[:, None] > alpha_thetas[None, :]
-            # kept sets are nested in theta, so equal sizes mean equal sets
-            _, first, inverse = np.unique(above.sum(axis=0), return_index=True, return_inverse=True)
-            by_size = np.stack([counts(tuple(np.flatnonzero(above[:, j]).tolist())) for j in first])
-            totals[alpha] += by_size[inverse]
-
-    def report(alpha: float, theta: float) -> EvalReport:
-        row = totals[alpha][columns[alpha][theta]]
-        return EvalReport(
-            **{name: SubtaskScore.from_counts(*map(int, row[k])) for k, name in enumerate(SUBTASKS)}
-        )
-
-    return [GridCell(alpha, theta, report(alpha, theta)) for alpha, theta in cells]
+        p = softmax([c.rank_score for c in candidates.candidates])
+        q = softmax([c.beam_score for c in candidates.candidates])
+        # the arithmetic of fuse_scores
+        fused = {alpha: [alpha * pi + (1.0 - alpha) * qi for pi, qi in zip(p, q)] for alpha in alphas}
+        cells_by_kept: dict[tuple[int, ...], list[int]] = {}  # kept set -> indices into cells
+        for j, (alpha, theta) in enumerate(cells):
+            cells_by_kept.setdefault(kept_indices(fused[alpha], theta), []).append(j)
+        gold = list(instance.gold_frames)
+        for kept, js in cells_by_kept.items():
+            frames = frames_from_cache(candidates, selected_triggers(candidates, kept))
+            totals[js] += [match_counts(frames, gold, name) for name in SUBTASKS]
+    return [
+        GridCell(alpha, theta, EvalReport(**{name: SubtaskScore.from_counts(*c) for name, c in zip(SUBTASKS, row)}))
+        for (alpha, theta), row in zip(cells, totals.tolist())
+    ]
 
 
 def grid_search(

@@ -1,6 +1,8 @@
 import hashlib
+import io
 import json
 import logging
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,6 +26,14 @@ def test_bad_config_exits_2(tmp_path):
     invalid = tmp_path / "invalid.json"
     invalid.write_text(json.dumps({"selection": {"alpha": 3.0, "theta": 0.2}}))
     assert run(["preprocess", "--config", invalid, "--run-dir", tmp_path]) == 2
+    # settings nothing reads are refused, not ignored
+    for section, key in (("generation", "max_input_len"), ("backend", "hyperparams")):
+        rd = tmp_path / key
+        cfg_path = build_demo_run(rd, seed=1)
+        cfg = json.loads(cfg_path.read_text())
+        cfg.setdefault(section, {})[key] = 650 if section == "generation" else {}
+        cfg_path.write_text(json.dumps(cfg))
+        assert run(["preprocess", "--config", cfg_path, "--run-dir", rd]) == 2
 
 
 def test_tune_without_dev_candidates_exits_3(tmp_path, capsys):
@@ -67,6 +77,10 @@ def test_unknown_backend_exits_2(tmp_path):
         ("evaluate", "--alpha=0.3"),
         ("report", "--seed=1"),
         ("pipeline", "--split=test"),
+        # out of [0, 1]
+        ("predict", "--alpha=3"),
+        ("report", "--theta=-0.1"),
+        ("pipeline", "--alpha=nan"),
     ],
 )
 def test_flag_a_subcommand_does_not_read_exits_2(command, flag):
@@ -224,3 +238,15 @@ def test_run_log_length_does_not_grow_with_grid(tmp_path):
         assert run(["pipeline", "--config", cfg_path, "--run-dir", rd]) == 0
         line_counts.append(len((rd / "run.log").read_text().splitlines()))
     assert line_counts[0] == line_counts[1]
+
+
+def test_each_main_call_logs_to_its_own_stderr(tmp_path, monkeypatch):
+    cfg = build_demo_run(tmp_path, seed=1)
+    first, second = io.StringIO(), io.StringIO()
+    monkeypatch.setattr(sys, "stderr", first)
+    assert run(["preprocess", "--config", cfg, "--run-dir", tmp_path]) == 0
+    first.close()  # as pytest closes the captured stderr of a finished test
+    monkeypatch.setattr(sys, "stderr", second)
+    assert run(["preprocess", "--config", cfg, "--run-dir", tmp_path]) == 0
+    assert "INFO preprocess: " in second.getvalue()
+    assert "Logging error" not in second.getvalue()

@@ -128,6 +128,7 @@ def test_sweep_matches_per_cell_reference():
         alphas = [0.0, 0.5, 1.0, round(rng.random(), 3)]
         thetas = [0.0, 0.25, 0.5, 1.0, round(rng.random(), 3)]
         cells = [(alpha, theta) for theta in thetas for alpha in alphas]
+        cells += rng.sample(cells, 5)  # repeated cells, each with its own GridCell
         rng.shuffle(cells)
         swept = sweep_selection(dev, cells)
         assert [(cell.alpha, cell.theta) for cell in swept] == cells
