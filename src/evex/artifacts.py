@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+from collections.abc import Callable, Iterable
 from pathlib import Path
 
 log = logging.getLogger("evex")
@@ -23,16 +24,17 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def write_jsonl(path: str | Path, rows: list[dict], meta: dict) -> None:
+def write_jsonl(path: str | Path, rows: Iterable[dict], meta: dict) -> None:
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.write(json.dumps({META_KEY: meta}, sort_keys=True, ensure_ascii=False) + "\n")
         for row in rows:
             fh.write(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n")
 
 
-def read_jsonl(path: str | Path, expect_hash: str | None = None) -> list[dict]:
-    """Rows of a JSONL artifact, header excluded. A hash mismatch warns."""
-    rows: list[dict] = []
+def read_jsonl(path: str | Path, expect_hash: str | None = None, convert: Callable | None = None) -> list:
+    """Rows of a JSONL artifact, header excluded, each passed through convert as it
+    is read (so the raw rows are never all alive at once). A hash mismatch warns."""
+    rows: list = []
     with Path(path).open(encoding="utf-8") as fh:
         for i, line in enumerate(fh):
             line = line.strip()
@@ -47,7 +49,7 @@ def read_jsonl(path: str | Path, expect_hash: str | None = None) -> list[dict]:
                         path, stored, expect_hash,
                     )
                 continue
-            rows.append(raw)
+            rows.append(raw if convert is None else convert(raw))
     return rows
 
 

@@ -98,15 +98,14 @@ class RunConfig:
         self.hash = artifacts.config_hash(raw)
         try:
             self.corpus = {k: str(v) for k, v in raw.get("corpus", {}).items()}
-            backend = dict(raw.get("backend", {}))
-            self.backend_id, self.backend_script = backend.pop("id", "toy"), backend.pop("script", None)
-            if backend:
-                raise ValueError(f"unknown backend key(s): {sorted(backend)}")
+            backend = _section(raw, "backend", ("id", "script"))
+            self.backend_id, self.backend_script = backend.get("id", "toy"), backend.get("script")
             self.codec = CodecConfig(**raw.get("codec", {}))
             self.generation = GenerationConfig(**raw.get("generation", {}))
             self.selector_train = SelectorTrainConfig(**raw.get("selector_train", {}))
-            self.scorer_params = dict(raw.get("scorer", {}))
-            pairs = raw.get("pairs", {})
+            self.scorer_params = _section(raw, "scorer", ("dim", "word_ngrams", "char_ngrams"))
+            HashedNgramScorer(**self.scorer_params)  # checks the values now, not at train-selector
+            pairs = _section(raw, "pairs", ("multi_trigger_target", "include_empty"))
             self.multi_trigger_target = bool(pairs.get("multi_trigger_target", False))
             self.include_empty = bool(pairs.get("include_empty", True))
             selection = raw.get("selection", "tune")
@@ -114,9 +113,11 @@ class RunConfig:
                 self.selection: SelectionConfig | None = None
             else:
                 self.selection = SelectionConfig(**selection)
-            tuning = raw.get("tuning", {})
+            tuning = _section(raw, "tuning", ("alpha_grid", "theta_grid", "metric"))
             self.alpha_grid = [float(a) for a in tuning.get("alpha_grid", DEFAULT_ALPHA_GRID)]
             self.theta_grid = [float(t) for t in tuning.get("theta_grid", DEFAULT_THETA_GRID)]
+            if not all(grid and all(0.0 <= v <= 1.0 for v in grid) for grid in (self.alpha_grid, self.theta_grid)):
+                raise ValueError("tuning grids must be nonempty, with values in [0, 1]")
             self.metric = tuning.get("metric", TRIG_C)
             if self.metric not in SUBTASKS:
                 raise ValueError(f"unknown tuning metric: {self.metric!r}")
@@ -134,6 +135,14 @@ class RunConfig:
     def base_selection(self) -> SelectionConfig:
         """The explicit selection config, or library defaults when tuning."""
         return self.selection if self.selection is not None else SelectionConfig()
+
+
+def _section(raw: dict, name: str, known: tuple[str, ...]) -> dict:
+    """The config section `name`; a key outside `known` is an error."""
+    section = dict(raw.get(name, {}))
+    if set(section) - set(known):
+        raise ValueError(f"unknown {name} key(s): {sorted(set(section) - set(known))}")
+    return section
 
 
 def load_config(path: str) -> RunConfig:
@@ -198,7 +207,7 @@ def _read_pairs(run_dir: Path, cfg: RunConfig) -> list[TrainingPair]:
 
 def _read_candidates(run_dir: Path, cfg: RunConfig, split: str) -> list[CandidateList]:
     path = _require(run_dir / f"candidates.{split}.jsonl", f"gen-candidates on {split}")
-    return [candidate_list_from_dict(r) for r in artifacts.read_jsonl(path, cfg.hash)]
+    return artifacts.read_jsonl(path, cfg.hash, convert=candidate_list_from_dict)
 
 
 def _write_candidates(
@@ -208,7 +217,7 @@ def _write_candidates(
     if model_digest is not None:
         meta[MODEL_DIGEST_KEY] = model_digest
     artifacts.write_jsonl(
-        run_dir / f"candidates.{split}.jsonl", [candidate_list_to_dict(cl) for cl in lists], meta
+        run_dir / f"candidates.{split}.jsonl", (candidate_list_to_dict(cl) for cl in lists), meta
     )
 
 

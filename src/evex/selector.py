@@ -9,13 +9,13 @@ keeps every candidate whose fused score exceeds the threshold theta.
 The reference scorer is a linear model over hashed character and word n-gram
 counts of "context || candidate", trained by stochastic subgradient descent.
 Most of a pair's n-grams lie in the shared "context ||" prefix, and the
-candidate texts of a corpus repeat, so the scorer hashes a context's prefix
-once for its run of candidates and each candidate text once, and hashes per
-pair only the few n-grams that cross the " || " junction. Hashing the same
-strings again in every epoch would dominate training, so a training call
-also keeps a feature table: each unique (context, text) pair becomes
-index/count arrays (in the order the hashing emits them), and every step
-scores and updates from those arrays.
+candidate texts and n-grams of a corpus repeat, so the scorer hashes each
+distinct n-gram once into a dense id, keeps a context's prefix ids for its
+run of candidates and each text's ids, and looks up per pair only the few
+n-grams across the " || " junction; numpy counts the pair's id stream into
+a feature row (hashed indices and counts, in first-appearance order).
+Building rows again in every epoch would dominate training, so a training
+call keeps a feature table of each unique pair's row for its steps.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ import json
 import random
 import zlib
 from array import array
-from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,7 +39,7 @@ from .generation import CandidateList
 ContrastiveItem = tuple[str, str, list[str]]
 # hashed features of one (context, text) pair: indices and their counts
 FeatureRow = tuple[np.ndarray, np.ndarray]
-# one side of " || ": tokens, their joined text, hashed n-grams per family
+# one side of " || ": tokens, their joined text, n-gram ids per family
 _Side = tuple[list[str], str, list[array]]
 
 
@@ -75,6 +74,23 @@ class SelectionConfig:
             raise ValueError("theta must lie in [0, 1]")
 
 
+class _GramIds(dict):
+    """One n-gram family's memo: n-gram -> dense id of its hashed index. A
+    miss hashes the n-gram; n-grams that collide, within or across families,
+    share an id through `ids` (index -> id), and `indices` maps ids back."""
+
+    def __init__(self, family: str, dim: int, ids: dict[int, int], indices: array):
+        super().__init__()
+        self.family, self.dim, self.ids, self.indices = family, dim, ids, indices
+
+    def __missing__(self, gram: str) -> int:
+        index = zlib.crc32(f"{self.family}{gram}".encode("utf-8")) % self.dim
+        gid = self[gram] = self.ids.setdefault(index, len(self.ids))
+        if gid == len(self.indices):
+            self.indices.append(index)
+        return gid
+
+
 class HashedNgramScorer:
     """Linear scorer over hashed n-gram counts of "context || candidate".
 
@@ -87,18 +103,26 @@ class HashedNgramScorer:
     each character alone, so the normalised pair is the normalised prefix
     "context ||", a space, and the normalised candidate. Every n-gram of it
     lies inside the prefix, inside the candidate, or across the junction
-    (at most n - 1 word n-grams, n char n-grams, per family). The prefix part
-    is memoised for the most recent context, since a context's candidates
-    are scored in a row; the candidate part is memoised per text, a memo
-    emptied when it holds TEXT_MEMO_SIZE texts. Only the junction is hashed
-    for every pair. The memos hold hashed indices, which depend on dim and
-    the n-gram lengths alone, never on the weights; concatenated in the
-    order a whole-string pass emits them, they count to the same features
-    in the same order, so every score is the same float.
+    (at most n - 1 word n-grams, n char n-grams, per family). Each family
+    memoises n-gram -> dense id (_GramIds), so a distinct n-gram is hashed
+    once; a context's prefix ids are memoised while its candidates are
+    scored in a row, and each text's ids; only the junction is looked up per
+    pair. Ids depend on dim and the n-gram lengths, never on the weights.
+    The prefix and text memos hold ids, so all memos share one cap,
+    MEMO_SIZE entries, and are emptied together before a row finds them full.
+
+    A row finds each id's first position in the pair's id stream (the order
+    a whole-string pass emits the n-grams) with np.minimum.at, a ufunc, as
+    repeated fancy-index writes have no set order, on a scratch of one slot
+    per id, not per index. First occurrences and bincount over first
+    positions give the (index, count) vector of a dict count of the stream,
+    in its order, so every score is the same float. The training table keeps
+    counts as float32, exact for integer counts below 2**24.
     """
 
-    TEXT_MEMO_SIZE = 2**12
+    MEMO_SIZE = 2**14
     FORMAT = "hashed-ngram-linear/1"
+    _NO_POSITION = np.iinfo(np.int32).max
 
     def __init__(
         self,
@@ -116,60 +140,71 @@ class HashedNgramScorer:
         self.weights = np.zeros(self.dim, dtype=np.float64)
         # (context, text) -> FeatureRow, kept only inside training()
         self._table: dict[tuple[str, str], FeatureRow] | None = None
-        # hashed indices only, never scores, so a weight update cannot stale them
+        self._first = np.empty(0, dtype=np.int32)
+        self._reset_memos()
+
+    def _reset_memos(self) -> None:
+        """Empty the id memos (ids, never scores: a weight update cannot stale them)."""
+        ids, self._indices = {}, array("I")
+        families = [f"w{n}:" for n in self.word_ngrams] + [f"c{n}:" for n in self.char_ngrams]
+        self._grams = [_GramIds(family, self.dim, ids, self._indices) for family in families]
         self._context_memo: tuple[str, _Side] | None = None
         self._text_memo: dict[str, _Side] = {}
 
-    def _features(self, context: str, candidate_text: str) -> dict[int, float]:
-        """Hashed n-gram counts of the normalised "context || candidate".
-
-        Counted in first-appearance order: word families, then char
-        families, each as prefix, junction and candidate part. That is the
-        order a left-to-right pass over the whole string emits them in.
-        """
+    def _row(self, context: str, candidate_text: str) -> FeatureRow:
+        """Hashed n-gram indices of the normalised "context || candidate" and their
+        counts, in first-appearance order: word families, then char families, each as
+        prefix, junction and candidate part, the order a whole-string pass emits."""
+        if len(self._text_memo) + sum(map(len, self._grams)) >= self.MEMO_SIZE:
+            self._reset_memos()
         memo = self._context_memo
         if memo is None or memo[0] != context:
             memo = self._context_memo = (context, self._side(context.casefold().split() + ["||"]))
         prefix_tokens, prefix, prefix_parts = memo[1]
         side = self._text_memo.get(candidate_text)
         if side is None:
-            if len(self._text_memo) >= self.TEXT_MEMO_SIZE:
-                self._text_memo.clear()
             side = self._text_memo[candidate_text] = self._side(candidate_text.casefold().split())
         tokens, text, parts = side
-        hashed = array("I")
+        stream = array("I")
         for k, n in enumerate(self.word_ngrams):
             # at most n - 1 tokens from each side, so every n-gram spans both
             window = prefix_tokens[max(0, len(prefix_tokens) - n + 1) :] + tokens[: n - 1]
-            hashed += prefix_parts[k]
-            hashed += self._hash(f"w{n}:", (" ".join(window[i : i + n]) for i in range(len(window) - n + 1)))
-            hashed += parts[k]
+            junction = (" ".join(window[i : i + n]) for i in range(len(window) - n + 1))
+            stream += prefix_parts[k]
+            stream.extend(map(self._grams[k].__getitem__, junction))
+            stream += parts[k]
         for k, n in enumerate(self.char_ngrams, len(self.word_ngrams)):
-            hashed += prefix_parts[k]
+            stream += prefix_parts[k]
             if text:
                 # every n-gram of the window holds the joining space
                 window = f"{prefix[max(0, len(prefix) - n + 1) :]} {text[: n - 1]}"
-                hashed += self._hash(f"c{n}:", (window[i : i + n] for i in range(len(window) - n + 1)))
-                hashed += parts[k]
-        return Counter(hashed)
+                junction = (window[i : i + n] for i in range(len(window) - n + 1))
+                stream.extend(map(self._grams[k].__getitem__, junction))
+                stream += parts[k]
+        if len(self._first) < len(self._indices):
+            self._first = np.full(2 * len(self._indices), self._NO_POSITION, dtype=np.int32)
+        ids = np.frombuffer(stream, dtype=np.uint32)
+        positions = np.arange(len(ids), dtype=np.int32)
+        np.minimum.at(self._first, ids, positions)
+        first = self._first[ids]
+        self._first[ids] = self._NO_POSITION
+        kept = first == positions
+        counts = np.bincount(first, minlength=len(ids))[kept].astype(np.float64)
+        return np.frombuffer(self._indices, dtype=np.uint32)[ids[kept]], counts
+
+    def _features(self, context: str, candidate_text: str) -> dict[int, float]:
+        """The row of _row as an index -> count dict, in the same order."""
+        idx, cnt = self._row(context, candidate_text)
+        return dict(zip(idx.tolist(), cnt.tolist()))
 
     def _side(self, tokens: list[str]) -> _Side:
         """One side of the junction: its tokens, their joined text, and per
-        n-gram family the hashed n-grams that lie entirely inside it."""
+        n-gram family the ids of the n-grams that lie entirely inside it."""
         text = " ".join(tokens)
-        parts = [
-            self._hash(f"w{n}:", (" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)))
-            for n in self.word_ngrams
-        ]
-        parts += [
-            self._hash(f"c{n}:", (text[i : i + n] for i in range(len(text) - n + 1)))
-            for n in self.char_ngrams
-        ]
+        words = [[" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)] for n in self.word_ngrams]
+        chars = [[text[i : i + n] for i in range(len(text) - n + 1)] for n in self.char_ngrams]
+        parts = [array("I", map(memo.__getitem__, grams)) for memo, grams in zip(self._grams, words + chars)]
         return tokens, text, parts
-
-    def _hash(self, family: str, grams: Iterable[str]) -> array:
-        dim = self.dim
-        return array("I", [zlib.crc32(f"{family}{gram}".encode("utf-8")) % dim for gram in grams])
 
     def _score_features(self, feats: dict[int, float]) -> float:
         if not feats:
@@ -179,20 +214,12 @@ class HashedNgramScorer:
         return float(self.weights[idx] @ cnt)
 
     def _feature_row(self, context: str, text: str) -> FeatureRow:
-        """The pair's features as arrays, from the table inside training().
-
-        Indices are crc32 values modulo dim, so they fit in uint32. Both
-        arrays keep the order of _features, so a score equals
-        _score_features bit for bit.
-        """
+        """The pair's row from the table inside training(), counts as float32."""
         table = self._table if self._table is not None else {}
         row = table.get((context, text))
         if row is None:
-            feats = self._features(context, text)
-            row = table[context, text] = (
-                np.fromiter(feats.keys(), dtype=np.uint32, count=len(feats)),
-                np.fromiter(feats.values(), dtype=np.float64, count=len(feats)),
-            )
+            idx, cnt = self._row(context, text)
+            row = table[context, text] = (idx, cnt.astype(np.float32))
         return row
 
     @contextmanager
@@ -206,7 +233,8 @@ class HashedNgramScorer:
 
     def score(self, context: str, candidate_text: str) -> float:
         """Relevance of a candidate text to its context."""
-        return self._score_features(self._features(context, candidate_text))
+        idx, cnt = self._row(context, candidate_text)
+        return float(self.weights[idx] @ cnt)
 
     def loss_and_grad(
         self, batch: list[ContrastiveItem], margin: float

@@ -1,0 +1,35 @@
+import logging
+
+from evex import artifacts
+from evex.cli import main
+from evex.generation import candidate_list_from_dict
+from evex.synthetic import build_demo_run
+
+META = {"artifact": "rows", "config_hash": "abc"}
+
+
+def test_write_jsonl_from_a_generator_writes_the_bytes_of_a_list(tmp_path):
+    rows = [{"b": i, "a": [str(i)] * i, "ü": None} for i in range(5)]
+    artifacts.write_jsonl(tmp_path / "list.jsonl", rows, META)
+    artifacts.write_jsonl(tmp_path / "gen.jsonl", (dict(r) for r in rows), META)
+    assert (tmp_path / "gen.jsonl").read_bytes() == (tmp_path / "list.jsonl").read_bytes()
+    assert artifacts.read_jsonl(tmp_path / "gen.jsonl") == rows
+
+
+def test_read_jsonl_converts_each_row_and_still_warns(tmp_path, caplog):
+    cfg = build_demo_run(tmp_path, seed=4, noisy=True)
+    assert main(["preprocess", "--config", str(cfg), "--run-dir", str(tmp_path)]) == 0
+    assert main(["gen-candidates", "--config", str(cfg), "--run-dir", str(tmp_path), "--split", "test"]) == 0
+    path = tmp_path / "candidates.test.jsonl"
+    stored = artifacts.read_meta(path)["config_hash"]
+
+    want = [candidate_list_from_dict(r) for r in artifacts.read_jsonl(path, stored)]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="evex"):
+        assert artifacts.read_jsonl(path, stored, convert=candidate_list_from_dict) == want
+        assert not caplog.records
+        assert artifacts.read_jsonl(path, "0" * 16, convert=candidate_list_from_dict) == want
+    assert want and all(cl.candidates for cl in want)
+    assert [r.message for r in caplog.records] == [
+        f"config hash mismatch for {path}: artifact {stored}, current {'0' * 16}"
+    ]

@@ -36,6 +36,28 @@ def test_bad_config_exits_2(tmp_path):
         assert run(["preprocess", "--config", cfg_path, "--run-dir", rd]) == 2
 
 
+@pytest.mark.parametrize(
+    "section, value",
+    [
+        ("tuning", {"theta_grid": [1.5]}),
+        ("tuning", {"alpha_grid": [-0.1, 0.5]}),
+        ("tuning", {"alpha_grids": [0.4]}),
+        ("scorer", {"dims": 5}),
+        ("scorer", {"dim": "big"}),
+        ("pairs", {"include_emptyy": False}),
+    ],
+    ids=["theta_grid_1.5", "alpha_grid_negative", "alpha_grids_typo", "dims_typo", "dim_string", "include_emptyy_typo"],
+)
+def test_bad_config_section_exits_2_before_any_stage(tmp_path, capsys, section, value):
+    cfg_path = build_demo_run(tmp_path, seed=2)
+    cfg = json.loads(cfg_path.read_text())
+    cfg[section] = value
+    cfg_path.write_text(json.dumps(cfg))
+    assert run(["pipeline", "--config", cfg_path, "--run-dir", tmp_path]) == 2
+    assert "error: bad run config" in capsys.readouterr().err
+    assert not (tmp_path / "pairs.jsonl").exists()
+
+
 def test_tune_without_dev_candidates_exits_3(tmp_path, capsys):
     cfg = build_demo_run(tmp_path, seed=1)
     rc = run(["tune", "--config", cfg, "--run-dir", tmp_path])

@@ -194,6 +194,25 @@ def test_features_match_whole_pair_reference(dim, word_ngrams, char_ngrams):
         assert scorer.score(context, text) == scorer._score_features(want)
 
 
+@pytest.mark.parametrize("dim", [7, 2**18])
+def test_rows_across_memo_resets_match_a_fresh_scorer(dim):
+    rng = random.Random(40 + dim)
+    weights = np.random.default_rng(dim).normal(size=dim)
+    capped = HashedNgramScorer(dim=dim)
+    capped.MEMO_SIZE = 64  # a few pairs fill it
+    capped.weights = weights
+    resets = []
+    reset_memos = capped._reset_memos
+    capped._reset_memos = lambda: (resets.append(1), reset_memos())
+    for context, text in featurizer_pairs(rng):
+        fresh = HashedNgramScorer(dim=dim)
+        fresh.weights = weights
+        (got_idx, got_cnt), (want_idx, want_cnt) = capped._row(context, text), fresh._row(context, text)
+        assert got_idx.tolist() == want_idx.tolist() and got_cnt.tolist() == want_cnt.tolist()
+        assert capped.score(context, text) == fresh.score(context, text)
+    assert len(resets) > 20
+
+
 def test_scorer_rejects_nonpositive_ngram_length():
     with pytest.raises(ValueError, match="n-gram"):
         HashedNgramScorer(dim=64, word_ngrams=(0, 1))
