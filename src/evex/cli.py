@@ -50,7 +50,7 @@ from .generation import (
     frames_from_cache,
     generate_trigger_candidates,
 )
-from .metrics import SUBTASKS, TRIG_C, evaluate_corpus
+from .metrics import TRIG_C, evaluate_corpus
 from .selector import (
     HashedNgramScorer,
     SelectionConfig,
@@ -64,6 +64,7 @@ from .selector import (
 from .tuning import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_THETA_GRID,
+    checked_grids,
     evaluate_selection,  # noqa: F401  unused here; a benchmark tracer wraps it by this name
     grid_search,
     sweep_selection,
@@ -73,6 +74,8 @@ from .tuning import (
 log = logging.getLogger("evex")
 
 SPLITS = ("train", "dev", "test")
+# the one backend id: a ScriptedBackend
+BACKEND_ID = "toy"
 # candidates meta key: sha256 of the selector.model bytes the rank scores came from
 MODEL_DIGEST_KEY = "selector_sha256"
 
@@ -90,37 +93,31 @@ class DataError(Exception):
 
 
 class RunConfig:
-    """Validated view of the run-config JSON file."""
+    """Validated view of the run-config JSON file: each value is checked, not
+    coerced, when the file is loaded, by the code that owns its rule."""
 
     def __init__(self, raw: dict, path: Path):
-        self.raw = raw
         self.path = path
         self.hash = artifacts.config_hash(raw)
         try:
-            self.corpus = {k: str(v) for k, v in raw.get("corpus", {}).items()}
+            self.corpus = _section(raw, "corpus", SPLITS, str)
             backend = _section(raw, "backend", ("id", "script"))
-            self.backend_id, self.backend_script = backend.get("id", "toy"), backend.get("script")
+            if backend.get("id", BACKEND_ID) != BACKEND_ID:
+                raise ValueError(f"unknown backend id: {backend['id']!r} (known: {BACKEND_ID!r})")
+            self.backend_script = backend.get("script")
             self.codec = CodecConfig(**raw.get("codec", {}))
             self.generation = GenerationConfig(**raw.get("generation", {}))
             self.selector_train = SelectorTrainConfig(**raw.get("selector_train", {}))
-            self.scorer_params = _section(raw, "scorer", ("dim", "word_ngrams", "char_ngrams"))
-            HashedNgramScorer(**self.scorer_params)  # checks the values now, not at train-selector
-            pairs = _section(raw, "pairs", ("multi_trigger_target", "include_empty"))
-            self.multi_trigger_target = bool(pairs.get("multi_trigger_target", False))
-            self.include_empty = bool(pairs.get("include_empty", True))
+            self.scorer_params = dict(raw.get("scorer", {}))
+            HashedNgramScorer(**self.scorer_params)  # checks keys and values now, not at train-selector
+            self.pairs = _section(raw, "pairs", ("multi_trigger_target", "include_empty"), bool)
             selection = raw.get("selection", "tune")
-            if selection == "tune":
-                self.selection: SelectionConfig | None = None
-            else:
-                self.selection = SelectionConfig(**selection)
+            self.selection = None if selection == "tune" else SelectionConfig(**selection)
             tuning = _section(raw, "tuning", ("alpha_grid", "theta_grid", "metric"))
-            self.alpha_grid = [float(a) for a in tuning.get("alpha_grid", DEFAULT_ALPHA_GRID)]
-            self.theta_grid = [float(t) for t in tuning.get("theta_grid", DEFAULT_THETA_GRID)]
-            if not all(grid and all(0.0 <= v <= 1.0 for v in grid) for grid in (self.alpha_grid, self.theta_grid)):
-                raise ValueError("tuning grids must be nonempty, with values in [0, 1]")
             self.metric = tuning.get("metric", TRIG_C)
-            if self.metric not in SUBTASKS:
-                raise ValueError(f"unknown tuning metric: {self.metric!r}")
+            self.alpha_grid, self.theta_grid = checked_grids(
+                tuning.get("alpha_grid", DEFAULT_ALPHA_GRID), tuning.get("theta_grid", DEFAULT_THETA_GRID), self.metric
+            )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad run config {path}: {exc}") from exc
 
@@ -132,16 +129,14 @@ class RunConfig:
             path = self.path.parent / path
         return path
 
-    def base_selection(self) -> SelectionConfig:
-        """The explicit selection config, or library defaults when tuning."""
-        return self.selection if self.selection is not None else SelectionConfig()
 
-
-def _section(raw: dict, name: str, known: tuple[str, ...]) -> dict:
-    """The config section `name`; a key outside `known` is an error."""
+def _section(raw: dict, name: str, known: tuple[str, ...], kind: type = object) -> dict:
+    """The config section `name`; a key outside `known`, or a value not of type `kind`, is an error."""
     section = dict(raw.get(name, {}))
     if set(section) - set(known):
         raise ValueError(f"unknown {name} key(s): {sorted(set(section) - set(known))}")
+    if not all(isinstance(value, kind) for value in section.values()):
+        raise ValueError(f"{name} values must be of type {kind.__name__}")
     return section
 
 
@@ -161,7 +156,7 @@ def load_config(path: str) -> RunConfig:
 def _load_split(cfg: RunConfig, run_dir: Path, split: str) -> list[ContextInstance]:
     path = cfg.corpus_path(split)
     try:
-        result = load_corpus(path)
+        result = load_corpus(path, cfg.codec)
     except OSError as exc:
         raise DataError(f"cannot read corpus {path}: {exc}") from exc
     artifacts.write_json(
@@ -183,8 +178,6 @@ def _require(path: Path, hint: str) -> Path:
 
 
 def _build_backend(cfg: RunConfig, run_dir: Path) -> Seq2SeqBackend:
-    if cfg.backend_id != "toy":
-        raise ConfigError(f"unknown backend id: {cfg.backend_id!r} (known: 'toy')")
     script = cfg.backend_script
     if script is None:
         return ScriptedBackend()
@@ -224,13 +217,7 @@ def _write_candidates(
 def cmd_preprocess(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> None:
     instances = _load_split(cfg, run_dir, "train")
     ontology = ontology_from_corpus(instances)
-    pairs = make_corpus_pairs(
-        instances,
-        ontology,
-        cfg.codec,
-        multi_trigger_target=cfg.multi_trigger_target,
-        include_empty=cfg.include_empty,
-    )
+    pairs = make_corpus_pairs(instances, ontology, cfg.codec, **cfg.pairs)
     artifacts.write_json(
         run_dir / "ontology.json",
         {"roles_by_type": {t: list(r) for t, r in ontology.roles_by_type.items()}},
@@ -342,45 +329,30 @@ def _with_gold(
 def cmd_tune(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> None:
     dev = _with_gold(cfg, run_dir, "dev", _scored_candidates(cfg, run_dir, "dev"))
     result = grid_search(dev, cfg.alpha_grid, cfg.theta_grid, cfg.metric)
+    best_f1 = result.best_report().score(result.metric).f1
     write_score_table(result.table, run_dir / "tuning.csv", comment=f"config_hash={cfg.hash}")
     artifacts.write_json(
         run_dir / "tuned.json",
-        {
-            "alpha": result.alpha,
-            "theta": result.theta,
-            "metric": result.metric,
-            "best_f1": result.best_report().score(result.metric).f1,
-        },
+        {"alpha": result.alpha, "theta": result.theta, "metric": result.metric, "best_f1": best_f1},
         cfg.hash,
     )
-    log.info(
-        "tune: best %s F1 %.4f at alpha=%g theta=%g",
-        result.metric,
-        result.best_report().score(result.metric).f1,
-        result.alpha,
-        result.theta,
-    )
+    log.info("tune: best %s F1 %.4f at alpha=%g theta=%g", result.metric, best_f1, result.alpha, result.theta)
 
 
-def _resolve_selection(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> SelectionConfig:
-    if args.alpha is not None or args.theta is not None:
-        base = cfg.base_selection()
-        return SelectionConfig(
-            alpha=base.alpha if args.alpha is None else args.alpha,
-            theta=base.theta if args.theta is None else args.theta,
-        )
-    if cfg.selection is not None:
-        return cfg.selection
-    tuned_path = run_dir / "tuned.json"
-    if tuned_path.exists():
-        tuned = artifacts.read_json(tuned_path, cfg.hash)
-        return SelectionConfig(alpha=tuned["alpha"], theta=tuned["theta"])
-    return SelectionConfig()
+def _resolve_selection(cfg: RunConfig, args: argparse.Namespace) -> SelectionConfig:
+    """--alpha/--theta over the config's selection, or over the library defaults when tuning."""
+    flags = {name: value for name in ("alpha", "theta") if (value := getattr(args, name)) is not None}
+    return replace(cfg.selection or SelectionConfig(), **flags)
 
 
 def cmd_predict(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> None:
     split = args.split
-    selection = _resolve_selection(cfg, run_dir, args)
+    selection = _resolve_selection(cfg, args)
+    tuned_path = run_dir / "tuned.json"
+    # a tuning run given neither flag selects at tune's choice, once tune has run
+    if cfg.selection is None and args.alpha is None and args.theta is None and tuned_path.exists():
+        tuned = artifacts.read_json(tuned_path, cfg.hash)
+        selection = SelectionConfig(alpha=tuned["alpha"], theta=tuned["theta"])
     rows = []
     n_none_above = 0
     for cl in _scored_candidates(cfg, run_dir, split):
@@ -428,12 +400,9 @@ def cmd_evaluate(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> Non
 def cmd_report(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> None:
     split = args.split
     paired = _with_gold(cfg, run_dir, split, _scored_candidates(cfg, run_dir, split))
-    base = cfg.base_selection()
-    alpha = base.alpha if args.alpha is None else args.alpha
-    theta = base.theta if args.theta is None else args.theta
-
-    theta_pairs = [(alpha, t) for t in sorted(cfg.theta_grid)]
-    cells = sweep_selection(paired, theta_pairs + [(a, theta) for a in sorted(cfg.alpha_grid)])
+    base = _resolve_selection(cfg, args)
+    theta_pairs = [(base.alpha, t) for t in sorted(cfg.theta_grid)]
+    cells = sweep_selection(paired, theta_pairs + [(a, base.theta) for a in sorted(cfg.alpha_grid)])
     theta_cells, alpha_cells = cells[: len(theta_pairs)], cells[len(theta_pairs) :]
     write_score_table(
         theta_cells, run_dir / "theta_sweep.csv", comment=f"config_hash={cfg.hash} split={split}"
@@ -441,7 +410,9 @@ def cmd_report(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> None:
     write_score_table(
         alpha_cells, run_dir / "alpha_sweep.csv", comment=f"config_hash={cfg.hash} split={split}"
     )
-    log.info("report[%s]: wrote theta_sweep.csv (alpha=%g) and alpha_sweep.csv (theta=%g)", split, alpha, theta)
+    log.info(
+        "report[%s]: wrote theta_sweep.csv (alpha=%g) and alpha_sweep.csv (theta=%g)", split, base.alpha, base.theta
+    )
 
 
 def cmd_pipeline(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> None:
@@ -494,11 +465,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _unit_interval(text: str) -> float:
-    """argparse type of --alpha and --theta: a float in [0, 1], nan excluded."""
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not in [0, 1]")
-    return value
+    """argparse type of --alpha and --theta: a float that SelectionConfig accepts."""
+    try:
+        return SelectionConfig(alpha=float(text)).alpha
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number in [0, 1]") from None
 
 
 # marks the handlers main() installs, so that the next call replaces them

@@ -47,10 +47,14 @@ class CodecConfig:
             self.none_token,
             self.empty_token,
         )
-        if any(not v for v in values):
-            raise ValueError("codec tokens must be nonempty")
+        if any(not isinstance(v, str) or not v for v in values):
+            raise ValueError("codec tokens must be nonempty strings")
         if len(set(values)) != len(values):
             raise ValueError("codec tokens must be pairwise distinct")
+
+    def is_placeholder(self, text: str) -> bool:
+        """Whether text is the none token: the fill of an unfilled slot, never an entity."""
+        return matches_token(text, self.none_token)
 
 
 def build_trigger_prompt(context: str, cfg: CodecConfig) -> str:
@@ -141,14 +145,12 @@ def decode_argument_output(text: str, cfg: CodecConfig) -> tuple[list[ArgumentPa
         consumed.append(m.span())
         role = normalize_ws(m.group("role"))
         fill = normalize_ws(m.group("fill"))
-        if matches_token(fill, cfg.none_token) or matches_token(fill, cfg.empty_token):
-            continue
         for entity in re.split(re.escape(cfg.and_token), fill):
             entity = entity.strip()
             if not entity:
                 warnings.append(f"empty entity: role {role!r}")
                 continue
-            if matches_token(entity, cfg.none_token) or matches_token(entity, cfg.empty_token):
+            if cfg.is_placeholder(entity):
                 continue
             try:
                 pairs.append(ArgumentPair(role, entity))

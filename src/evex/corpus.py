@@ -87,11 +87,11 @@ def instance_to_dict(instance: ContextInstance) -> dict:
     }
 
 
-def load_corpus(path: str | Path) -> LoadResult:
+def load_corpus(path: str | Path, codec: CodecConfig = CodecConfig()) -> LoadResult:
     """Read a JSONL corpus. Returns instances in file order plus a problem
-    list (bad lines, repeated doc ids, gold triggers missing from their
-    context). Later stages key instances by doc_id, so only the first line
-    of a doc_id is kept."""
+    list (bad lines, gold entities equal to the codec's none token, repeated
+    doc ids, gold triggers missing from their context). Later stages key
+    instances by doc_id, so only the first line of a doc_id is kept."""
     path = Path(path)
     result = LoadResult(instances=[])
     first_line: dict[str, int] = {}
@@ -107,6 +107,9 @@ def load_corpus(path: str | Path) -> LoadResult:
                 continue
             try:
                 instance = instance_from_dict(raw)
+                for pair in (pair for frame in instance.gold_frames for pair in frame.arguments):
+                    if codec.is_placeholder(pair.entity):
+                        raise ValueError(f"argument entity {pair.entity!r} is a codec placeholder")
             except (KeyError, TypeError, ValueError, AttributeError) as exc:
                 result.problems.append(LoadProblem(line_no, f"malformed instance: {exc}"))
                 continue

@@ -16,6 +16,11 @@ def normalize_ws(text: str) -> str:
     return " ".join(text.split())
 
 
+def is_number(value: object, kind: type | tuple[type, ...] = (int, float)) -> bool:
+    """Whether a config value is a number of `kind`; a bool (JSON true/false) is none."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def matches_token(text: str, token: str) -> bool:
     """Whitespace- and case-tolerant token equality, e.g. '[ None]' == '[none]'."""
     return "".join(text.split()).casefold() == "".join(token.split()).casefold()
@@ -55,8 +60,6 @@ class ArgumentPair:
             raise ValueError("argument role must be nonempty")
         if not entity:
             raise ValueError("argument entity must be nonempty")
-        if matches_token(entity, "[None]"):
-            raise ValueError("argument entity must not be the [None] placeholder")
         object.__setattr__(self, "role", role)
         object.__setattr__(self, "entity", entity)
 

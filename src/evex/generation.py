@@ -19,7 +19,7 @@ from .codec import (
     decode_trigger_candidate,
 )
 from .corpus import TrainingPair
-from .events import ArgumentPair, ContextInstance, EventFrame, Trigger, matches_token
+from .events import ArgumentPair, ContextInstance, EventFrame, Trigger, is_number, matches_token
 
 
 class BackendError(RuntimeError):
@@ -31,8 +31,8 @@ class GenerationConfig:
     beam_width: int = 10
 
     def __post_init__(self) -> None:
-        if self.beam_width < 1:
-            raise ValueError("beam_width must be >= 1")
+        if not is_number(self.beam_width, int) or self.beam_width < 1:
+            raise ValueError("beam_width must be an integer >= 1")
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .codec import CodecConfig, encode_trigger
-from .events import Trigger
+from .events import Trigger, is_number
 from .generation import CandidateList
 
 # one training example: (context, positive text, negative texts)
@@ -52,12 +52,14 @@ class SelectorTrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not -1.0 <= self.margin <= 1.0:
-            raise ValueError("margin must lie in [-1, 1]")
+        if not all(is_number(n, int) for n in (self.negatives_k, self.epochs, self.seed)):
+            raise ValueError("negatives_k, epochs and seed must be integers")
+        if not is_number(self.margin) or not -1.0 <= self.margin <= 1.0:
+            raise ValueError("margin must be a number in [-1, 1]")
         if self.negatives_k < 1:
             raise ValueError("negatives_k must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not is_number(self.learning_rate) or self.learning_rate <= 0:
+            raise ValueError("learning_rate must be a positive number")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
 
@@ -68,10 +70,11 @@ class SelectionConfig:
     theta: float = 0.2
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError("theta must lie in [0, 1]")
+        # the one [0, 1] rule of alpha and theta; grids and --alpha/--theta reuse it
+        for name in ("alpha", "theta"):
+            value = getattr(self, name)
+            if not is_number(value) or not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
 
 
 class _GramIds(dict):
@@ -130,11 +133,11 @@ class HashedNgramScorer:
         word_ngrams: tuple[int, ...] = (1, 2),
         char_ngrams: tuple[int, ...] = (3, 4),
     ):
+        self.dim, self.word_ngrams, self.char_ngrams = dim, tuple(word_ngrams), tuple(char_ngrams)
+        if not all(is_number(n, int) for n in (dim, *self.word_ngrams, *self.char_ngrams)):
+            raise ValueError("dim and n-gram lengths must be integers")
         if dim < 1:
             raise ValueError("dim must be positive")
-        self.dim = int(dim)
-        self.word_ngrams = tuple(int(n) for n in word_ngrams)
-        self.char_ngrams = tuple(int(n) for n in char_ngrams)
         if any(n < 1 for n in self.word_ngrams + self.char_ngrams):
             raise ValueError("n-gram lengths must be positive")
         self.weights = np.zeros(self.dim, dtype=np.float64)
@@ -413,8 +416,11 @@ def fuse_scores(rank_scores: list[float], beam_scores: list[float], alpha: float
     """alpha * softmax(rank) + (1 - alpha) * softmax(beam), elementwise."""
     if len(rank_scores) != len(beam_scores):
         raise ValueError("score lists must have equal length")
-    p = softmax(rank_scores)
-    q = softmax(beam_scores)
+    return fuse_softmaxed(softmax(rank_scores), softmax(beam_scores), alpha)
+
+
+def fuse_softmaxed(p: Sequence[float], q: Sequence[float], alpha: float) -> list[float]:
+    """The fusion formula, alpha * p + (1 - alpha) * q elementwise, over softmaxed scores."""
     return [alpha * pi + (1.0 - alpha) * qi for pi, qi in zip(p, q)]
 
 

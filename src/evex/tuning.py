@@ -3,16 +3,20 @@
 The search selects with cached candidate scores and cached argument
 predictions; it never calls a generation backend. One sweep scores every
 cell: per doc it softmaxes the rank and beam scores once, fuses them once per
-alpha, and applies the selection rule (selector.kept_indices) once per cell.
+alpha with the fusion formula of fuse_scores (selector.fuse_softmaxed), and
+applies the selection rule (selector.kept_indices) once per cell.
 Cells that keep the same candidates share one match count, computed once
 per kept set and added into the integer totals of those cells. The reports equal
 those of evaluate_selection, the per-cell reference. Ties break toward the
 smaller threshold, then the smaller weight.
+
+The settings rule (checked_grids) is applied by grid_search and at config load.
 """
 
 from __future__ import annotations
 
 import csv
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,7 +25,7 @@ import numpy as np
 from .events import ContextInstance
 from .generation import CandidateList, frames_from_cache
 from .metrics import SUBTASKS, TRIG_C, EvalReport, SubtaskScore, evaluate_corpus, match_counts
-from .selector import SelectionConfig, fuse_and_select, kept_indices, selected_triggers, softmax
+from .selector import SelectionConfig, fuse_and_select, fuse_softmaxed, kept_indices, selected_triggers, softmax
 
 DEFAULT_ALPHA_GRID = tuple(round(i * 0.1, 1) for i in range(11))  # 0.0 .. 1.0
 DEFAULT_THETA_GRID = tuple(round(i * 0.05, 2) for i in range(1, 20))  # 0.05 .. 0.95
@@ -82,8 +86,7 @@ def sweep_selection(
             raise ValueError(f"candidates of doc {candidates.doc_id!r} carry no rank scores")
         p = softmax([c.rank_score for c in candidates.candidates])
         q = softmax([c.beam_score for c in candidates.candidates])
-        # the arithmetic of fuse_scores
-        fused = {alpha: [alpha * pi + (1.0 - alpha) * qi for pi, qi in zip(p, q)] for alpha in alphas}
+        fused = {alpha: fuse_softmaxed(p, q, alpha) for alpha in alphas}
         cells_by_kept: dict[tuple[int, ...], list[int]] = {}  # kept set -> indices into cells
         for j, (alpha, theta) in enumerate(cells):
             cells_by_kept.setdefault(kept_indices(fused[alpha], theta), []).append(j)
@@ -105,19 +108,28 @@ def grid_search(
 ) -> GridSearchResult:
     if not dev:
         raise ValueError("empty dev set")
-    if not alpha_grid or not theta_grid:
-        raise ValueError("grids must be nonempty")
-    if metric not in SUBTASKS:
-        raise ValueError(f"unknown metric: {metric!r}")
-    for value in list(alpha_grid) + list(theta_grid):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"grid value outside [0, 1]: {value}")
-
+    alpha_grid, theta_grid = checked_grids(alpha_grid, theta_grid, metric)
     table = sweep_selection(
         dev, [(alpha, theta) for theta in sorted(theta_grid) for alpha in sorted(alpha_grid)]
     )
     best = max(table, key=lambda cell: cell.report.score(metric).f1)  # the first of equals
     return GridSearchResult(alpha=best.alpha, theta=best.theta, metric=metric, table=tuple(table))
+
+
+def checked_grids(
+    alpha_grid: Sequence[float], theta_grid: Sequence[float], metric: str
+) -> tuple[list[float], list[float]]:
+    """The settings rule of a grid search: nonempty grids of values that SelectionConfig
+    accepts, a metric in SUBTASKS. Returns the grids as floats."""
+    if not alpha_grid or not theta_grid:
+        raise ValueError("grids must be nonempty")
+    if metric not in SUBTASKS:
+        raise ValueError(f"unknown metric: {metric!r}")
+    for alpha in alpha_grid:
+        SelectionConfig(alpha=alpha)
+    for theta in theta_grid:
+        SelectionConfig(theta=theta)
+    return [float(alpha) for alpha in alpha_grid], [float(theta) for theta in theta_grid]
 
 
 def write_score_table(cells: list[GridCell] | tuple[GridCell, ...], path: str | Path, comment: str | None = None) -> None:

@@ -45,8 +45,20 @@ def test_bad_config_exits_2(tmp_path):
         ("scorer", {"dims": 5}),
         ("scorer", {"dim": "big"}),
         ("pairs", {"include_emptyy": False}),
+        ("pairs", {"include_empty": "false"}),
+        ("tuning", {"alpha_grid": ["0.5"]}),
+        ("backend", {"id": "bert", "script": "script.json"}),
+        ("codec", {"none_token": 5}),
+        ("corpus", {"train": "corpus.train.jsonl", "dev": "corpus.dev.jsonl", "tset": "corpus.test.jsonl"}),
+        ("scorer", {"dim": 1000.5}),
+        ("generation", {"beam_width": 2.5}),
+        ("selector_train", {"epochs": 2.5}),
     ],
-    ids=["theta_grid_1.5", "alpha_grid_negative", "alpha_grids_typo", "dims_typo", "dim_string", "include_emptyy_typo"],
+    ids=[
+        "theta_grid_1.5", "alpha_grid_negative", "alpha_grids_typo", "dims_typo", "dim_string", "include_emptyy_typo",
+        "include_empty_string", "alpha_grid_string", "backend_bert", "none_token_int", "corpus_tset",
+        "dim_float", "beam_width_float", "epochs_float",
+    ],
 )
 def test_bad_config_section_exits_2_before_any_stage(tmp_path, capsys, section, value):
     cfg_path = build_demo_run(tmp_path, seed=2)

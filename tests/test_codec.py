@@ -137,6 +137,16 @@ def test_decode_argument_output_none_slots_dropped():
     assert decode_argument_output("<Artifact> [ None] </Artifact>", CFG) == ([], [])
 
 
+def test_argument_placeholders_follow_the_codec():
+    assert CFG.is_placeholder("[ none ]") and CFG.is_placeholder("[None]")
+    assert not CFG.is_placeholder("NA")
+    na = CodecConfig(none_token="NA")
+    assert na.is_placeholder("na") and not na.is_placeholder("[None]") and not na.is_placeholder("[none]")
+    # under this codec "[None]" is an entity like any other
+    assert decode_argument_output("<Agent> [None] </Agent>", na) == ([ArgumentPair("Agent", "[None]")], [])
+    assert decode_argument_output("<Agent> NA </Agent>", na) == ([], [])
+
+
 def test_decode_argument_output_multi_entity_split():
     pairs, _ = decode_argument_output("<Entity> a [and] b </Entity>", CFG)
     assert pairs == [ArgumentPair("Entity", "a"), ArgumentPair("Entity", "b")]

@@ -88,6 +88,22 @@ def test_load_reports_trigger_substring_violation(tmp_path):
     assert any("went" in p.message for p in result.problems)
 
 
+def test_load_reports_codec_placeholder_entity(tmp_path):
+    def line(doc_id, entity):
+        return json.dumps({"doc_id": doc_id, "context": "He went home .", "events": [
+            {"trigger": {"word": "went", "type": "T"}, "arguments": [{"role": "Place", "entity": entity}]}
+        ]})
+
+    path = write_lines(tmp_path, [line("a", "NA"), line("b", "[None]"), line("c", "home")])
+    na = load_corpus(path, CodecConfig(none_token="NA"))
+    assert [i.doc_id for i in na.instances] == ["b", "c"]
+    assert [p.line for p in na.problems] == [1]
+    assert "'NA' is a codec placeholder" in na.problems[0].message
+    default = load_corpus(path)
+    assert [i.doc_id for i in default.instances] == ["a", "c"]
+    assert [p.line for p in default.problems] == [2]
+
+
 def test_load_unreadable_file_raises(tmp_path):
     with pytest.raises(OSError):
         load_corpus(tmp_path / "missing.jsonl")

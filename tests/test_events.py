@@ -26,13 +26,11 @@ def test_trigger_rejects_bad_fields(word, etype):
         Trigger(word, etype)
 
 
-def test_argument_pair_rejects_none_placeholder():
-    with pytest.raises(ValueError):
-        ArgumentPair("Agent", "[None]")
-    with pytest.raises(ValueError):
-        ArgumentPair("Agent", "[ none ]")
+def test_argument_pair_rejects_empty_fields():
     with pytest.raises(ValueError):
         ArgumentPair("", "home")
+    with pytest.raises(ValueError):
+        ArgumentPair("Agent", "  ")
 
 
 def test_frame_collapses_duplicate_pairs():

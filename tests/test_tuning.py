@@ -171,6 +171,10 @@ def test_grid_search_validation():
         grid_search(dev, alpha_grid=[], theta_grid=[0.1])
     with pytest.raises(ValueError):
         grid_search(dev, alpha_grid=[0.5], theta_grid=[1.5])
+    # values are type-checked, not coerced
+    for bad in ("0.5", True):
+        with pytest.raises(ValueError):
+            grid_search(dev, alpha_grid=[bad], theta_grid=[0.1])
 
 
 def test_score_table_csv_format(tmp_path):
