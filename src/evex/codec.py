@@ -99,7 +99,7 @@ def decode_trigger_candidate(text: str, cfg: CodecConfig) -> tuple[list[Trigger]
         return [], []
     triggers: list[Trigger] = []
     warnings: list[str] = []
-    for segment in re.split(re.escape(cfg.and_token), text):
+    for segment in text.split(cfg.and_token):
         segment = segment.strip()
         if not segment:
             warnings.append("empty trigger segment")
@@ -109,10 +109,10 @@ def decode_trigger_candidate(text: str, cfg: CodecConfig) -> tuple[list[Trigger]
             warnings.append(f"unparseable trigger segment: {segment!r}")
             continue
         word, event_type = m.group("word"), m.group("type")
-        if any(ch.isspace() for ch in event_type):
+        try:
+            triggers.append(Trigger(word, event_type))
+        except ValueError:  # the word holds a non-space, so the type holds whitespace
             warnings.append(f"event type contains whitespace: {event_type!r}")
-            continue
-        triggers.append(Trigger(word, event_type))
     return triggers, warnings
 
 
@@ -145,7 +145,7 @@ def decode_argument_output(text: str, cfg: CodecConfig) -> tuple[list[ArgumentPa
         consumed.append(m.span())
         role = normalize_ws(m.group("role"))
         fill = normalize_ws(m.group("fill"))
-        for entity in re.split(re.escape(cfg.and_token), fill):
+        for entity in fill.split(cfg.and_token):
             entity = entity.strip()
             if not entity:
                 warnings.append(f"empty entity: role {role!r}")

@@ -40,7 +40,7 @@ class Trigger:
             raise ValueError("trigger word must be nonempty")
         if not event_type:
             raise ValueError("event type must be nonempty")
-        if any(ch.isspace() for ch in event_type):
+        if event_type.split() != [event_type]:
             raise ValueError(f"event type must not contain whitespace: {event_type!r}")
         object.__setattr__(self, "word", word)
         object.__setattr__(self, "event_type", event_type)

@@ -80,12 +80,10 @@ class CandidateList:
     def with_rank_scores(self, scores: list[float]) -> "CandidateList":
         if len(scores) != len(self.candidates):
             raise ValueError("one rank score per candidate required")
-        return replace(
-            self,
-            candidates=tuple(
-                replace(c, rank_score=s) for c, s in zip(self.candidates, scores)
-            ),
+        candidates = tuple(
+            TriggerCandidate(c.raw_text, c.triggers, c.beam_score, s) for c, s in zip(self.candidates, scores)
         )
+        return CandidateList(self.doc_id, self.context, candidates, self.arguments_by_word)
 
 
 class Seq2SeqBackend:

@@ -10,10 +10,10 @@ The reference scorer is a linear model over hashed character and word n-gram
 counts of "context || candidate", trained by stochastic subgradient descent.
 Most of a pair's n-grams lie in the shared "context ||" prefix, and the
 candidate texts and n-grams of a corpus repeat, so the scorer hashes each
-distinct n-gram once into a dense id, keeps a context's prefix ids for its
-run of candidates and each text's ids, and looks up per pair only the few
-n-grams across the " || " junction; numpy counts the pair's id stream into
-a feature row (hashed indices and counts, in first-appearance order).
+distinct n-gram once into a dense id, keeps a context's prefix ids, and
+memoises each text's ids with those across the " || " junction. numpy counts
+the id streams of a context's candidates, in one batch, into feature rows
+(hashed indices and counts, in first-appearance order).
 Building rows again in every epoch would dominate training, so a training
 call keeps a feature table of each unique pair's row for its steps.
 """
@@ -39,8 +39,6 @@ from .generation import CandidateList
 ContrastiveItem = tuple[str, str, list[str]]
 # hashed features of one (context, text) pair: indices and their counts
 FeatureRow = tuple[np.ndarray, np.ndarray]
-# one side of " || ": tokens, their joined text, n-gram ids per family
-_Side = tuple[list[str], str, list[array]]
 
 
 @dataclass(frozen=True)
@@ -106,21 +104,23 @@ class HashedNgramScorer:
     each character alone, so the normalised pair is the normalised prefix
     "context ||", a space, and the normalised candidate. Every n-gram of it
     lies inside the prefix, inside the candidate, or across the junction
-    (at most n - 1 word n-grams, n char n-grams, per family). Each family
-    memoises n-gram -> dense id (_GramIds), so a distinct n-gram is hashed
-    once; a context's prefix ids are memoised while its candidates are
-    scored in a row, and each text's ids; only the junction is looked up per
-    pair. Ids depend on dim and the n-gram lengths, never on the weights.
-    The prefix and text memos hold ids, so all memos share one cap,
-    MEMO_SIZE entries, and are emptied together before a row finds them full.
+    (at most n - 1 word n-grams, n char n-grams, per family), which reaches
+    only the prefix's tail: its last max(word_ngrams) - 1 tokens and
+    max(char_ngrams) - 1 chars, "||" / " ||" at the default lengths. Each
+    family memoises n-gram -> dense id (_GramIds), so a distinct n-gram is
+    hashed once; so are a context's prefix ids while its candidates are
+    scored, and each text's junction and text ids per (tail, text). Ids
+    depend on dim and the n-gram lengths, never on the weights. All memos
+    share one cap, MEMO_SIZE entries, and are emptied together.
 
-    A row finds each id's first position in the pair's id stream (the order
-    a whole-string pass emits the n-grams) with np.minimum.at, a ufunc, as
-    repeated fancy-index writes have no set order, on a scratch of one slot
-    per id, not per index. First occurrences and bincount over first
-    positions give the (index, count) vector of a dict count of the stream,
-    in its order, so every score is the same float. The training table keeps
-    counts as float32, exact for integer counts below 2**24.
+    scores() builds the rows of a context's candidates in one batch (_rows):
+    one np.minimum.at, a ufunc, as repeated fancy-index writes have no set
+    order, on a scratch of one slot per (row, id) finds each id's first
+    position in its row's id stream (the order a whole-string pass emits the
+    n-grams). First occurrences and bincount over first positions give each
+    row's (index, count) vector of a dict count of its stream, in its order,
+    so every score is the same float as a pair's alone. The training table
+    keeps counts as float32, exact for integer counts below 2**24.
     """
 
     MEMO_SIZE = 2**14
@@ -151,56 +151,83 @@ class HashedNgramScorer:
         ids, self._indices = {}, array("I")
         families = [f"w{n}:" for n in self.word_ngrams] + [f"c{n}:" for n in self.char_ngrams]
         self._grams = [_GramIds(family, self.dim, ids, self._indices) for family in families]
-        self._context_memo: tuple[str, _Side] | None = None
-        self._text_memo: dict[str, _Side] = {}
+        self._context_memo: tuple[str, list[array], tuple] | None = None
+        self._junction_memo: dict[tuple[tuple, str], list[array]] = {}
+
+    def _rows(self, context: str, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """Row r, [cuts[r], cuts[r + 1]), holds the hashed n-gram indices of the normalised
+        "context || texts[r]" and their counts, in first-appearance order: word families,
+        then char families, each as prefix, junction and text part. A chunk of rows has
+        rows x ids <= 4 * MEMO_SIZE (or one row), so the scratch stays bounded."""
+        idx_parts, cnt_parts, cuts = [np.empty(0, np.uint32)], [np.empty(0)], [0]
+        start, scratch_size = 0, 4 * self.MEMO_SIZE
+        while start < len(texts):
+            if len(self._junction_memo) + sum(map(len, self._grams)) >= self.MEMO_SIZE:
+                self._reset_memos()
+            memo = self._context_memo
+            if memo is None or memo[0] != context:
+                tokens, text, parts = self._side(context.casefold().split() + ["||"])
+                # the prefix's tail: the tokens and chars its junction n-grams can reach
+                n_words, n_chars = max(self.word_ngrams, default=1) - 1, max(self.char_ngrams, default=1) - 1
+                tail = (tuple(tokens[max(0, len(tokens) - n_words) :]), text[max(0, len(text) - n_chars) :])
+                memo = self._context_memo = (context, parts, tail)
+            _, prefix_parts, tail = memo
+            stream, ends, n_ids = array("I"), [0], 0
+            for text in texts[start:]:
+                pieces = self._junction_memo.get((tail, text))
+                if pieces is None:
+                    pieces = self._junction_memo[tail, text] = self._junction(tail, text)
+                if len(ends) > 1 and len(ends) * len(self._indices) > scratch_size:
+                    break
+                for prefix_part, piece in zip(prefix_parts, pieces):
+                    stream += prefix_part
+                    stream += piece
+                ends.append(len(stream))
+                n_ids = len(self._indices)
+            rows = len(ends) - 1
+            start += rows
+            if len(self._first) < rows * n_ids:  # one slot per (row, id)
+                self._first = np.full(max(rows * n_ids, scratch_size), self._NO_POSITION, dtype=np.int32)
+            ids = np.frombuffer(stream, dtype=np.uint32)
+            keys = ids + np.repeat(np.arange(rows) * n_ids, [e - s for s, e in zip(ends, ends[1:])])
+            positions = np.arange(len(ids), dtype=np.int32)
+            np.minimum.at(self._first, keys, positions)
+            first = self._first[keys]
+            self._first[keys] = self._NO_POSITION
+            kept = np.flatnonzero(first == positions)
+            cnt_parts.append(np.bincount(first, minlength=len(ids))[kept].astype(np.float64))
+            idx_parts.append(np.frombuffer(self._indices, dtype=np.uint32)[ids[kept]])
+            cuts += (cuts[-1] + np.searchsorted(kept, ends[1:])).tolist()
+        return np.concatenate(idx_parts), np.concatenate(cnt_parts), cuts
 
     def _row(self, context: str, candidate_text: str) -> FeatureRow:
-        """Hashed n-gram indices of the normalised "context || candidate" and their
-        counts, in first-appearance order: word families, then char families, each as
-        prefix, junction and candidate part, the order a whole-string pass emits."""
-        if len(self._text_memo) + sum(map(len, self._grams)) >= self.MEMO_SIZE:
-            self._reset_memos()
-        memo = self._context_memo
-        if memo is None or memo[0] != context:
-            memo = self._context_memo = (context, self._side(context.casefold().split() + ["||"]))
-        prefix_tokens, prefix, prefix_parts = memo[1]
-        side = self._text_memo.get(candidate_text)
-        if side is None:
-            side = self._text_memo[candidate_text] = self._side(candidate_text.casefold().split())
-        tokens, text, parts = side
-        stream = array("I")
-        for k, n in enumerate(self.word_ngrams):
-            # at most n - 1 tokens from each side, so every n-gram spans both
-            window = prefix_tokens[max(0, len(prefix_tokens) - n + 1) :] + tokens[: n - 1]
-            junction = (" ".join(window[i : i + n]) for i in range(len(window) - n + 1))
-            stream += prefix_parts[k]
-            stream.extend(map(self._grams[k].__getitem__, junction))
-            stream += parts[k]
-        for k, n in enumerate(self.char_ngrams, len(self.word_ngrams)):
-            stream += prefix_parts[k]
-            if text:
-                # every n-gram of the window holds the joining space
-                window = f"{prefix[max(0, len(prefix) - n + 1) :]} {text[: n - 1]}"
-                junction = (window[i : i + n] for i in range(len(window) - n + 1))
-                stream.extend(map(self._grams[k].__getitem__, junction))
-                stream += parts[k]
-        if len(self._first) < len(self._indices):
-            self._first = np.full(2 * len(self._indices), self._NO_POSITION, dtype=np.int32)
-        ids = np.frombuffer(stream, dtype=np.uint32)
-        positions = np.arange(len(ids), dtype=np.int32)
-        np.minimum.at(self._first, ids, positions)
-        first = self._first[ids]
-        self._first[ids] = self._NO_POSITION
-        kept = first == positions
-        counts = np.bincount(first, minlength=len(ids))[kept].astype(np.float64)
-        return np.frombuffer(self._indices, dtype=np.uint32)[ids[kept]], counts
+        """The row of one pair (see _rows)."""
+        return self._rows(context, [candidate_text])[:2]
 
     def _features(self, context: str, candidate_text: str) -> dict[int, float]:
         """The row of _row as an index -> count dict, in the same order."""
         idx, cnt = self._row(context, candidate_text)
         return dict(zip(idx.tolist(), cnt.tolist()))
 
-    def _side(self, tokens: list[str]) -> _Side:
+    def _junction(self, tail: tuple, candidate_text: str) -> list[array]:
+        """Per family, the ids of the n-grams across the junction of a prefix ending
+        in tail with the text, then those inside the text."""
+        tail_tokens, tail_text = tail
+        tokens, text, parts = self._side(candidate_text.casefold().split())
+        pieces = []
+        for k, n in enumerate(self.word_ngrams):
+            # at most n - 1 tokens from each side, so every n-gram spans both
+            window = [*tail_tokens[max(0, len(tail_tokens) - n + 1) :], *tokens[: n - 1]]
+            junction = (" ".join(window[i : i + n]) for i in range(len(window) - n + 1))
+            pieces.append(array("I", map(self._grams[k].__getitem__, junction)) + parts[k])
+        for k, n in enumerate(self.char_ngrams, len(self.word_ngrams)):
+            # every n-gram of the window holds the joining space, which an empty text lacks
+            window = f"{tail_text[max(0, len(tail_text) - n + 1) :]} {text[: n - 1]}" if text else ""
+            junction = (window[i : i + n] for i in range(len(window) - n + 1))
+            pieces.append(array("I", map(self._grams[k].__getitem__, junction)) + parts[k])
+        return pieces
+
+    def _side(self, tokens: list[str]) -> tuple[list[str], str, list[array]]:
         """One side of the junction: its tokens, their joined text, and per
         n-gram family the ids of the n-grams that lie entirely inside it."""
         text = " ".join(tokens)
@@ -210,8 +237,6 @@ class HashedNgramScorer:
         return tokens, text, parts
 
     def _score_features(self, feats: dict[int, float]) -> float:
-        if not feats:
-            return 0.0
         idx = np.fromiter(feats.keys(), dtype=np.intp, count=len(feats))
         cnt = np.fromiter(feats.values(), dtype=np.float64, count=len(feats))
         return float(self.weights[idx] @ cnt)
@@ -234,10 +259,15 @@ class HashedNgramScorer:
         finally:
             self._table = None
 
+    def scores(self, context: str, texts: Sequence[str]) -> list[float]:
+        """Relevance of each candidate text to the context, from one batch of rows."""
+        idx, cnt, cuts = self._rows(context, texts)
+        weights = self.weights[idx]
+        return [float(weights[s:e] @ cnt[s:e]) for s, e in zip(cuts, cuts[1:])]
+
     def score(self, context: str, candidate_text: str) -> float:
         """Relevance of a candidate text to its context."""
-        idx, cnt = self._row(context, candidate_text)
-        return float(self.weights[idx] @ cnt)
+        return self.scores(context, [candidate_text])[0]
 
     def loss_and_grad(
         self, batch: list[ContrastiveItem], margin: float
@@ -319,10 +349,6 @@ class HashedNgramScorer:
         if extra:
             blob.update(extra)
         Path(path).write_text(json.dumps(blob, sort_keys=True), encoding="utf-8")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "HashedNgramScorer":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def hinge_loss(pos_scores: list[float], neg_scores: list[float], margin: float) -> float:
@@ -427,7 +453,7 @@ def fuse_softmaxed(p: Sequence[float], q: Sequence[float], alpha: float) -> list
 def score_candidates(candidates: CandidateList, scorer: HashedNgramScorer) -> CandidateList:
     """Fill rank scores for every candidate in the list."""
     return candidates.with_rank_scores(
-        [scorer.score(candidates.context, c.raw_text) for c in candidates.candidates]
+        scorer.scores(candidates.context, [c.raw_text for c in candidates.candidates])
     )
 
 

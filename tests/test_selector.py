@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import zlib
@@ -127,7 +128,7 @@ def test_scorer_save_load_roundtrip(tmp_path):
     scorer.train_step([("ctx", "pos [T]", ["neg [T]"])], margin=0.5, learning_rate=0.05)
     path = tmp_path / "scorer.json"
     scorer.save(path)
-    loaded = HashedNgramScorer.load(path)
+    loaded = HashedNgramScorer.from_dict(json.loads(path.read_text()))
     for text in ("pos [T]", "neg [T]", "other [U]"):
         assert loaded.score("ctx", text) == scorer.score("ctx", text)
 
@@ -136,7 +137,7 @@ def test_scorer_load_rejects_unknown_format(tmp_path):
     path = tmp_path / "scorer.json"
     path.write_text('{"format": "other/9", "dim": 8, "word_ngrams": [1], "char_ngrams": [], "weights": {}}')
     with pytest.raises(ValueError, match="format"):
-        HashedNgramScorer.load(path)
+        HashedNgramScorer.from_dict(json.loads(path.read_text()))
 
 
 def reference_features(scorer, context, candidate_text):
@@ -211,6 +212,71 @@ def test_rows_across_memo_resets_match_a_fresh_scorer(dim):
         assert got_idx.tolist() == want_idx.tolist() and got_cnt.tolist() == want_cnt.tolist()
         assert capped.score(context, text) == fresh.score(context, text)
     assert len(resets) > 20
+
+
+def texts_by_context(pairs):
+    """The texts of each context in pair order, repeats kept."""
+    grouped: dict[str, list[str]] = {}
+    for context, text in pairs:
+        grouped.setdefault(context, []).append(text)
+    return grouped
+
+
+@pytest.mark.parametrize("word_ngrams, char_ngrams", [((1, 2), (3, 4)), ((1, 2, 3), (2, 5)), ((1,), (1,)), ((), (3,))])
+@pytest.mark.parametrize("dim", [7, 64, 2**18])
+def test_batched_scores_match_whole_pair_reference(dim, word_ngrams, char_ngrams):
+    rng = random.Random(dim)
+    scorer = HashedNgramScorer(dim=dim, word_ngrams=word_ngrams, char_ngrams=char_ngrams)
+    scorer.weights = np.random.default_rng(dim).normal(size=dim)
+    for context, texts in texts_by_context(featurizer_pairs(rng)).items():
+        want = [scorer._score_features(reference_features(scorer, context, text)) for text in texts]
+        assert scorer.scores(context, texts) == want
+        assert [scorer.score(context, text) for text in texts] == want
+
+
+def test_batched_scores_edge_cases():
+    scorer = HashedNgramScorer(dim=2**18)
+    scorer.weights = np.random.default_rng(3).normal(size=scorer.dim)
+    context = "troops fired on the crowd ."
+    assert scorer.scores(context, []) == []
+    texts = ["fired [Attack]", "", "fired [Attack]", "crowd [Meet]", "", "fired [Attack]"]
+    want = [scorer._score_features(reference_features(scorer, context, t)) for t in texts]
+    assert scorer.scores(context, texts) == want
+    rng = random.Random(9)
+    words = ["fired", "crowd", "bomb", "ẞtraße", "||", "[and]", "x", "😀"]
+    texts = [f"{' '.join(rng.choices(words, k=rng.randint(1, 6)))} [T{i}]" for i in range(300)]
+    got = scorer.scores(context, texts)
+    # the list is longer than one chunk, and the scratch holds one chunk
+    assert len(texts) * len(scorer._indices) > 4 * scorer.MEMO_SIZE == len(scorer._first)
+    assert got == [scorer._score_features(reference_features(scorer, context, t)) for t in texts]
+
+
+@pytest.mark.parametrize("dim", [7, 2**18])
+def test_batched_scores_across_memo_resets_match_a_fresh_scorer(dim):
+    rng = random.Random(50 + dim)
+    weights = np.random.default_rng(dim).normal(size=dim)
+    capped = HashedNgramScorer(dim=dim)
+    capped.MEMO_SIZE = 64  # a few pairs fill it, and a chunk holds few rows
+    capped.weights = weights
+    resets = []
+    reset_memos = capped._reset_memos
+    capped._reset_memos = lambda: (resets.append(1), reset_memos())
+    for context, texts in texts_by_context(featurizer_pairs(rng)).items():
+        fresh = HashedNgramScorer(dim=dim)
+        fresh.weights = weights
+        assert capped.scores(context, texts) == fresh.scores(context, texts)
+    assert len(resets) > 20
+
+
+def test_junction_memo_is_keyed_by_the_prefix_tail():
+    """Under word trigrams and char 5-grams the junction reaches past "||" into
+    the context, so one text after two contexts has two junctions."""
+    scorer = HashedNgramScorer(dim=2**18, word_ngrams=(1, 2, 3), char_ngrams=(2, 5))
+    scorer.weights = np.random.default_rng(4).normal(size=scorer.dim)
+    text = "fired [Attack]"
+    for context in ("troops fired", "a bomb exploded", "troops fired"):
+        want = scorer._score_features(reference_features(scorer, context, text))
+        assert scorer.scores(context, [text]) == [want]
 
 
 def test_scorer_rejects_nonpositive_ngram_length():
