@@ -16,6 +16,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from .events import ContextInstance, EventFrame
 
 TRIG_I = "trig_i"
@@ -50,6 +52,34 @@ def match_counts(
     gold_keys = Counter(_keys(gold, subtask))
     n_correct = sum(min(count, gold_keys[key]) for key, count in pred_keys.items())
     return n_correct, sum(pred_keys.values()), sum(gold_keys.values())
+
+
+def match_count_matrix(selected: np.ndarray, frames: list[EventFrame], gold: list[EventFrame]) -> np.ndarray:
+    """match_counts of many predictions against one gold list: row r of the 0/1
+    (rows, frames) matrix `selected` predicts the frames it marks. Returns int64
+    (rows, SUBTASKS, 3) counts (n_correct, n_pred, n_gold). Each subtask's keys
+    are a run of columns of one (frames, keys) count matrix; the products run in
+    float64, exact for these integer counts and, unlike integer matmul, on BLAS."""
+    columns: dict[tuple, int] = {}  # (subtask index, key) -> column
+    cells, gold_cols, widths, n_gold = [], [], [], []  # cells: (frame, column) per key occurrence
+    for k, subtask in enumerate(SUBTASKS):
+        start = len(columns)
+        for t, frame in enumerate(frames):
+            cells += [(t, columns.setdefault((k, key), len(columns))) for key in _keys([frame], subtask)]
+        gold_keys = _keys(gold, subtask)
+        gold_cols += [columns.setdefault((k, key), len(columns)) for key in gold_keys]
+        widths.append(len(columns) - start)
+        n_gold.append(len(gold_keys))
+    rows, cols = np.array(cells, dtype=np.intp).reshape(-1, 2).T
+    counts = np.bincount(rows * len(columns) + cols, minlength=len(frames) * len(columns)).astype(np.float64)
+    counts = counts.reshape(len(frames), len(columns))
+    gold_counts = np.bincount(np.array(gold_cols, dtype=np.intp), minlength=len(columns))
+    by_subtask = np.repeat(np.eye(len(SUBTASKS)), widths, axis=0)  # (keys, SUBTASKS) 0/1
+    out = np.empty((len(selected), len(SUBTASKS), 3), dtype=np.int64)
+    out[..., 0] = np.minimum(selected @ counts, gold_counts) @ by_subtask
+    out[..., 1] = selected @ (counts @ by_subtask)
+    out[..., 2] = n_gold
+    return out
 
 
 def f1_from_counts(n_correct: int, n_pred: int, n_gold: int) -> tuple[float, float, float]:

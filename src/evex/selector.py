@@ -27,6 +27,7 @@ from array import array
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -241,15 +242,6 @@ class HashedNgramScorer:
         cnt = np.fromiter(feats.values(), dtype=np.float64, count=len(feats))
         return float(self.weights[idx] @ cnt)
 
-    def _feature_row(self, context: str, text: str) -> FeatureRow:
-        """The pair's row from the table inside training(), counts as float32."""
-        table = self._table if self._table is not None else {}
-        row = table.get((context, text))
-        if row is None:
-            idx, cnt = self._row(context, text)
-            row = table[context, text] = (idx, cnt.astype(np.float32))
-        return row
-
     @contextmanager
     def training(self):
         """Keep the feature table for the steps of one training call."""
@@ -297,20 +289,27 @@ class HashedNgramScorer:
     def train_step(self, batch: list[ContrastiveItem], margin: float, learning_rate: float) -> float:
         """One subgradient update on the batch; returns the pre-update loss.
 
-        The loss and update of loss_and_grad, computed from feature rows,
+        The loss and update of loss_and_grad, computed from feature rows (an
+        item's rows missing from the table are built in one _rows batch),
         with scores and the loss summed in the same order as there. The
         subgradient is a sum of integer counts, exact in any order, so it is
         accumulated per index with bincount.
         """
         weights = self.weights
+        table = self._table if self._table is not None else {}
         loss = 0.0
         idx_parts: list[np.ndarray] = []
         val_parts: list[np.ndarray] = []
         for context, positive, negatives in batch:
-            pos_idx, pos_cnt = self._feature_row(context, positive)
+            missing = [text for text in dict.fromkeys((positive, *negatives)) if (context, text) not in table]
+            if missing:  # the item's new rows, in one batch
+                idx, cnt, cuts = self._rows(context, missing)
+                cnt = cnt.astype(np.float32)
+                table.update({(context, text): (idx[s:e], cnt[s:e]) for text, s, e in zip(missing, cuts, cuts[1:])})
+            pos_idx, pos_cnt = table[context, positive]
             pos_score = float(weights[pos_idx] @ pos_cnt)
             for negative in negatives:
-                neg_idx, neg_cnt = self._feature_row(context, negative)
+                neg_idx, neg_cnt = table[context, negative]
                 term = margin - pos_score + float(weights[neg_idx] @ neg_cnt)
                 if term > 0.0:
                     loss += term
@@ -429,25 +428,25 @@ def train_selector(
     return result
 
 
-def softmax(scores: list[float]) -> list[float]:
-    if not scores:
-        return []
+def softmax(scores: Sequence[float]) -> np.ndarray:
     arr = np.asarray(scores, dtype=np.float64)
-    arr = arr - arr.max()
-    exp = np.exp(arr)
-    return list(exp / exp.sum())
+    if not arr.size:
+        return arr
+    exp = np.exp(arr - arr.max())
+    return exp / exp.sum()
 
 
-def fuse_scores(rank_scores: list[float], beam_scores: list[float], alpha: float) -> list[float]:
+def fuse_scores(rank_scores: list[float], beam_scores: list[float], alpha: float) -> np.ndarray:
     """alpha * softmax(rank) + (1 - alpha) * softmax(beam), elementwise."""
     if len(rank_scores) != len(beam_scores):
         raise ValueError("score lists must have equal length")
     return fuse_softmaxed(softmax(rank_scores), softmax(beam_scores), alpha)
 
 
-def fuse_softmaxed(p: Sequence[float], q: Sequence[float], alpha: float) -> list[float]:
-    """The fusion formula, alpha * p + (1 - alpha) * q elementwise, over softmaxed scores."""
-    return [alpha * pi + (1.0 - alpha) * qi for pi, qi in zip(p, q)]
+def fuse_softmaxed(p: np.ndarray, q: np.ndarray, alpha: float | np.ndarray) -> np.ndarray:
+    """The fusion formula, alpha * p + (1 - alpha) * q elementwise, over softmaxed
+    scores; a column of alphas gives one row of fused scores per alpha."""
+    return alpha * p + (1.0 - alpha) * q
 
 
 def score_candidates(candidates: CandidateList, scorer: HashedNgramScorer) -> CandidateList:
@@ -478,23 +477,10 @@ def fuse_and_select(
     rank_scores = [c.rank_score for c in scored.candidates]
     beam_scores = [c.beam_score for c in scored.candidates]
     fused = fuse_scores(rank_scores, beam_scores, cfg.alpha)
-    return selected_triggers(scored, kept_indices(fused, cfg.theta))
+    kept = compress(scored.candidates, above_theta(fused, cfg.theta).tolist())
+    return list(dict.fromkeys(trigger for candidate in kept for trigger in candidate.triggers))
 
 
-def kept_indices(fused: Sequence[float], theta: float) -> tuple[int, ...]:
-    """The selection rule: indices of the fused scores strictly above theta,
-    ascending. An exact tie at theta selects nothing."""
-    return tuple(i for i, score in enumerate(fused) if score > theta)
-
-
-def selected_triggers(candidates: CandidateList, kept: Sequence[int]) -> list[Trigger]:
-    """Union of the parsed triggers of the kept candidates (indices in
-    ascending order), deduplicated, in first-appearance order."""
-    selected: list[Trigger] = []
-    seen: set[Trigger] = set()
-    for i in kept:
-        for trigger in candidates.candidates[i].triggers:
-            if trigger not in seen:
-                seen.add(trigger)
-                selected.append(trigger)
-    return selected
+def above_theta(fused: np.ndarray, theta: float | np.ndarray) -> np.ndarray:
+    """The selection rule, elementwise: fused score strictly above theta (a tie selects nothing)."""
+    return fused > theta

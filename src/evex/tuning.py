@@ -2,13 +2,16 @@
 
 The search selects with cached candidate scores and cached argument
 predictions; it never calls a generation backend. One sweep scores every
-cell: per doc it softmaxes the rank and beam scores once, fuses them once per
-alpha with the fusion formula of fuse_scores (selector.fuse_softmaxed), and
-applies the selection rule (selector.kept_indices) once per cell.
-Cells that keep the same candidates share one match count, computed once
-per kept set and added into the integer totals of those cells. The reports equal
-those of evaluate_selection, the per-cell reference. Ties break toward the
-smaller threshold, then the smaller weight.
+cell with a fixed handful of numpy calls per doc, however many cells there
+are. Per doc it softmaxes the rank and beam scores once, fuses them for the
+column of the cells' alphas (selector.fuse_softmaxed) and applies the
+selection rule against the column of their thetas (selector.above_theta): a
+(cells, candidates) kept matrix. Its product with the (candidates, triggers)
+parse matrix, > 0, is each cell's union of selected triggers; the frames of
+the doc's distinct triggers are counted for all cells at once
+(metrics.match_count_matrix) and added into the integer totals. The reports
+equal those of evaluate_selection, the per-cell reference. Ties break toward
+the smaller threshold, then the smaller weight.
 
 The settings rule (checked_grids) is applied by grid_search and at config load.
 """
@@ -24,8 +27,8 @@ import numpy as np
 
 from .events import ContextInstance
 from .generation import CandidateList, frames_from_cache
-from .metrics import SUBTASKS, TRIG_C, EvalReport, SubtaskScore, evaluate_corpus, match_counts
-from .selector import SelectionConfig, fuse_and_select, fuse_softmaxed, kept_indices, selected_triggers, softmax
+from .metrics import SUBTASKS, TRIG_C, EvalReport, SubtaskScore, evaluate_corpus, match_count_matrix
+from .selector import SelectionConfig, above_theta, fuse_and_select, fuse_softmaxed, softmax
 
 DEFAULT_ALPHA_GRID = tuple(round(i * 0.1, 1) for i in range(11))  # 0.0 .. 1.0
 DEFAULT_THETA_GRID = tuple(round(i * 0.05, 2) for i in range(1, 20))  # 0.05 .. 0.95
@@ -74,7 +77,7 @@ def sweep_selection(
     Doc ids must be unique (load_corpus skips repeats): counts are kept per
     doc, while evaluate_corpus would pool the frames of docs sharing an id.
     """
-    alphas = list(dict.fromkeys(alpha for alpha, _ in cells))
+    alpha_column, theta_column = np.array(cells, dtype=np.float64).reshape(-1, 2).T[:, :, None]
     # correct/pred/gold counts per (cell, subtask)
     totals = np.zeros((len(cells), len(SUBTASKS), 3), dtype=np.int64)
     doc_ids: set[str] = set()
@@ -84,16 +87,14 @@ def sweep_selection(
         doc_ids.add(instance.doc_id)
         if any(c.rank_score is None for c in candidates.candidates):
             raise ValueError(f"candidates of doc {candidates.doc_id!r} carry no rank scores")
-        p = softmax([c.rank_score for c in candidates.candidates])
-        q = softmax([c.beam_score for c in candidates.candidates])
-        fused = {alpha: fuse_softmaxed(p, q, alpha) for alpha in alphas}
-        cells_by_kept: dict[tuple[int, ...], list[int]] = {}  # kept set -> indices into cells
-        for j, (alpha, theta) in enumerate(cells):
-            cells_by_kept.setdefault(kept_indices(fused[alpha], theta), []).append(j)
-        gold = list(instance.gold_frames)
-        for kept, js in cells_by_kept.items():
-            frames = frames_from_cache(candidates, selected_triggers(candidates, kept))
-            totals[js] += [match_counts(frames, gold, name) for name in SUBTASKS]
+        cands = candidates.candidates
+        p, q = softmax([c.rank_score for c in cands]), softmax([c.beam_score for c in cands])
+        kept = above_theta(fuse_softmaxed(p, q, alpha_column), theta_column)  # (cells, candidates)
+        triggers = list(dict.fromkeys(t for c in cands for t in c.triggers))  # distinct, in first-appearance order
+        parses = np.array([[t in c.triggers for t in triggers] for c in cands], dtype=np.float64)
+        selected = kept @ parses.reshape(len(cands), len(triggers)) > 0  # each cell's union of triggers
+        frames = frames_from_cache(candidates, triggers)
+        totals += match_count_matrix(selected, frames, list(instance.gold_frames))
     return [
         GridCell(alpha, theta, EvalReport(**{name: SubtaskScore.from_counts(*c) for name, c in zip(SUBTASKS, row)}))
         for (alpha, theta), row in zip(cells, totals.tolist())

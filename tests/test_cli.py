@@ -7,8 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from evex.cli import build_parser, main
+from evex.artifacts import read_jsonl
+from evex.cli import build_parser, load_config, main
+from evex.corpus import load_corpus
+from evex.generation import candidate_list_from_dict
+from evex.selector import SelectionConfig
 from evex.synthetic import build_demo_run
+from evex.tuning import GridCell, evaluate_selection, write_score_table
 
 F1_KEYS = ("trig_i", "trig_c", "arg_i", "arg_c")
 
@@ -176,6 +181,26 @@ def test_stagewise_run_matches_pipeline(tmp_path):
         assert report[key]["f1"] == 1.0
     for name in ("pairs.jsonl", "tuning.csv", "tuned.json", "predictions.jsonl", "theta_sweep.csv", "alpha_sweep.csv"):
         assert (rd / name).exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--alpha", 0.7, "--theta", 0.3]])
+def test_report_sweeps_equal_per_cell_evaluation(tmp_path, flags):
+    rd = tmp_path / "run"
+    cfg_path = build_demo_run(rd, seed=9, noisy=True)
+    assert run(["pipeline", "--config", cfg_path, "--run-dir", rd]) == 0
+    assert run(["report", "--config", cfg_path, "--run-dir", rd, "--split", "test", *flags]) == 0
+    cfg = load_config(str(cfg_path))
+    instances = {i.doc_id: i for i in load_corpus(rd / "corpus.test.jsonl").instances}
+    paired = [(instances[cl.doc_id], cl) for cl in read_jsonl(rd / "candidates.test.jsonl", convert=candidate_list_from_dict)]
+    alpha, theta = (0.7, 0.3) if flags else (0.4, 0.2)  # the flags, else the library defaults
+    sweeps = {
+        "theta_sweep.csv": [(alpha, t) for t in sorted(cfg.theta_grid)],
+        "alpha_sweep.csv": [(a, theta) for a in sorted(cfg.alpha_grid)],
+    }
+    for name, cells in sweeps.items():
+        table = [GridCell(a, t, evaluate_selection(paired, SelectionConfig(a, t))) for a, t in cells]
+        write_score_table(table, tmp_path / name, comment=f"config_hash={cfg.hash} split=test")
+        assert (rd / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
 def test_predict_defaults_when_untuned(tmp_path):

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from evex.events import ArgumentPair, ContextInstance, EventFrame, Trigger
@@ -11,6 +12,7 @@ from evex.metrics import (
     TRIG_I,
     evaluate_corpus,
     f1_from_counts,
+    match_count_matrix,
     match_counts,
 )
 
@@ -148,3 +150,20 @@ def test_permutation_invariance():
     rng.shuffle(shuffled_gold)
     shuffled_rows = [(doc, list(reversed(frames))) for doc, frames in rows]
     assert evaluate_corpus(shuffled_rows, shuffled_gold).to_dict() == base
+
+
+def test_match_count_matrix_equals_match_counts_per_row():
+    rng = random.Random(61)
+    corpus = random_gold_corpus(rng, n=40)  # shared vocabulary: repeated keys in gold and in predictions
+    predictions = random_pred_frames(rng, corpus)
+    for instance in corpus:
+        gold = list(instance.gold_frames)
+        frames = predictions[instance.doc_id] + [f for i in corpus[:3] for f in i.gold_frames]
+        selected = np.array([[rng.random() < 0.5 for _ in frames] for _ in range(rng.randint(1, 6))], dtype=bool)
+        counts = match_count_matrix(selected, frames, gold)
+        assert counts.shape == (len(selected), len(SUBTASKS), 3)
+        for row, row_counts in zip(selected, counts.tolist()):
+            chosen = [frame for frame, keep in zip(frames, row) if keep]
+            assert row_counts == [list(match_counts(chosen, gold, name)) for name in SUBTASKS]
+    # no frames, no gold
+    assert match_count_matrix(np.zeros((2, 0), dtype=bool), [], []).tolist() == [[[0, 0, 0]] * 4] * 2

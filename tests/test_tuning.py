@@ -141,6 +141,57 @@ def test_sweep_matches_per_cell_reference():
     assert any(not cl.candidates for _, cl in dev)
 
 
+def edge_dev_set(rng):
+    """Docs whose counting the sweep must get right: one word under two event
+    types (two triggers sharing a trig_i key and the word's cached arguments),
+    duplicate ArgumentPairs in the cache, repeated keys within a frame and
+    across gold frames, a list of more than 64 candidates, a list of no-event
+    candidates only, and an empty list. Scores are random."""
+    agent, place = ArgumentPair("Agent", "someone"), ArgumentPair("Place", "home")
+    a_t, a_u, b_t = Trigger("a", "T"), Trigger("a", "U"), Trigger("b", "T")
+
+    def candidate(text, triggers):
+        return TriggerCandidate(text, triggers, rng.uniform(-4, 0), rank_score=rng.uniform(-2, 2))
+
+    shared = [
+        candidate("a [T]", (a_t,)),
+        candidate("a [U]", (a_u,)),
+        candidate("a [T] [and] b [T]", (a_t, b_t)),
+        candidate("a [U] [and] b [T]", (a_u, b_t)),
+        candidate("[none]", ()),
+    ]
+    # b's two pairs share an entity: one frame, two equal arg_i keys
+    arguments = {"a": (agent, agent, place), "b": (place, place, ArgumentPair("Agent", "home"))}
+    gold = (EventFrame(a_t, (agent,)), EventFrame(a_t, (agent, place)), EventFrame(a_u, (place,)), EventFrame(b_t))
+    words = [f"w{i}" for i in range(30)]
+    wide = [candidate(f"c{i}", tuple(Trigger(w, rng.choice("TU")) for w in rng.sample(words, 2))) for i in range(70)]
+    wide_gold = tuple(EventFrame(Trigger(w, "T"), (agent,)) for w in words[:12])
+    return [
+        (ContextInstance("shared", "a b", gold), CandidateList("shared", "a b", tuple(shared), arguments)),
+        (ContextInstance("wide", "w", wide_gold), CandidateList("wide", "w", tuple(wide), {w: (agent,) for w in words})),
+        (ContextInstance("none", "n", gold[:1]), CandidateList("none", "n", (candidate("[none]", ()),) * 2)),
+        (ContextInstance("empty", "e", gold[2:]), CandidateList("empty", "e", ())),
+    ]
+
+
+def test_sweep_edge_cases_match_per_cell_reference():
+    rng = random.Random(54)
+    for _ in range(5):
+        dev = edge_dev_set(rng)
+        # thetas down to 0.01 keep several of the 70 wide candidates at once
+        thetas = [0.0, 0.01, 0.02, 0.1, 0.2, 0.4, 1.0, round(rng.random(), 3)]
+        cells = [(alpha, theta) for theta in thetas for alpha in (0.0, 0.3, 1.0, round(rng.random(), 3))]
+        cells += cells[:4] + rng.sample(cells, 3)  # repeated cells
+        swept = sweep_selection(dev, cells)
+        assert [(cell.alpha, cell.theta) for cell in swept] == cells
+        for cell in swept:
+            assert cell.report == evaluate_selection(dev, SelectionConfig(cell.alpha, cell.theta))
+        # theta 0 keeps every candidate; a trigger that several of them parse counts once
+        distinct = sum(len({t for c in cl.candidates for t in c.triggers}) for _, cl in dev)
+        parsed = sum(len(c.triggers) for _, cl in dev for c in cl.candidates)
+        assert sweep_selection(dev, [(0.5, 0.0)])[0].report.trig_c.n_pred == distinct < parsed
+
+
 def test_sweep_rejects_repeated_doc_id():
     dev = planted_dev_set()
     with pytest.raises(ValueError, match="duplicate doc_id"):
