@@ -55,9 +55,8 @@ from .selector import (
     HashedNgramScorer,
     SelectionConfig,
     SelectorTrainConfig,
-    above_theta,
     fuse_and_select,
-    fuse_scores,
+    kept_mask,
     score_candidates,
     train_selector,
 )
@@ -361,8 +360,7 @@ def cmd_predict(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> None
         rows.append({"doc_id": cl.doc_id, "events": [frame_to_dict(f) for f in frames]})
         # a selected trigger means some candidate cleared theta
         if cl.candidates and not triggers:
-            ranks, beams = [c.rank_score for c in cl.candidates], [c.beam_score for c in cl.candidates]
-            n_none_above += not above_theta(fuse_scores(ranks, beams, selection.alpha), selection.theta).any()
+            n_none_above += not kept_mask(cl, selection.alpha, selection.theta).any()
     artifacts.write_jsonl(
         run_dir / "predictions.jsonl",
         rows,

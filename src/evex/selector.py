@@ -110,9 +110,10 @@ class HashedNgramScorer:
     max(char_ngrams) - 1 chars, "||" / " ||" at the default lengths. Each
     family memoises n-gram -> dense id (_GramIds), so a distinct n-gram is
     hashed once; so are a context's prefix ids while its candidates are
-    scored, and each text's junction and text ids per (tail, text). Ids
-    depend on dim and the n-gram lengths, never on the weights. All memos
-    share one cap, MEMO_SIZE entries, and are emptied together.
+    scored, and each text's ids per (tail, text): those of the text placed
+    behind the tail, junction n-grams included (_ids enumerates both sides).
+    Ids depend on dim and the n-gram lengths, never on the weights. All
+    memos share one cap, MEMO_SIZE entries, and are emptied together.
 
     scores() builds the rows of a context's candidates in one batch (_rows):
     one np.minimum.at, a ufunc, as repeated fancy-index writes have no set
@@ -153,31 +154,52 @@ class HashedNgramScorer:
         families = [f"w{n}:" for n in self.word_ngrams] + [f"c{n}:" for n in self.char_ngrams]
         self._grams = [_GramIds(family, self.dim, ids, self._indices) for family in families]
         self._context_memo: tuple[str, list[array], tuple] | None = None
-        self._junction_memo: dict[tuple[tuple, str], list[array]] = {}
+        self._text_memo: dict[tuple[tuple, str], list[array]] = {}
+
+    def _ids(self, words: Sequence[Sequence[str]], chars: Sequence[str]) -> list[array]:
+        """Per n-gram family, the ids of the n-grams of its token list (word
+        families, in word_ngrams order) or string (char families)."""
+        grams = [[" ".join(t[i : i + n]) for i in range(len(t) - n + 1)] for n, t in zip(self.word_ngrams, words)]
+        grams += [[s[i : i + n] for i in range(len(s) - n + 1)] for n, s in zip(self.char_ngrams, chars)]
+        # from a list, which sizes the array exactly (from an iterator it over-allocates, and memos keep it)
+        return [array("I", list(map(memo.__getitem__, g))) for memo, g in zip(self._grams, grams)]
 
     def _rows(self, context: str, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, list[int]]:
         """Row r, [cuts[r], cuts[r + 1]), holds the hashed n-gram indices of the normalised
         "context || texts[r]" and their counts, in first-appearance order: word families,
-        then char families, each as prefix, junction and text part. A chunk of rows has
-        rows x ids <= 4 * MEMO_SIZE (or one row), so the scratch stays bounded."""
+        then char families, each as the prefix's n-grams, then the text's. The text's
+        n-grams are those of the text placed behind the prefix tail's last n - 1 tokens
+        (chars: tail chars, the joining space, the text; nothing for an empty text). A
+        chunk of rows has rows x ids <= 4 * MEMO_SIZE (or one row), so the scratch stays
+        bounded."""
         idx_parts, cnt_parts, cuts = [np.empty(0, np.uint32)], [np.empty(0)], [0]
         start, scratch_size = 0, 4 * self.MEMO_SIZE
         while start < len(texts):
-            if len(self._junction_memo) + sum(map(len, self._grams)) >= self.MEMO_SIZE:
+            if len(self._text_memo) + sum(map(len, self._grams)) >= self.MEMO_SIZE:
                 self._reset_memos()
             memo = self._context_memo
             if memo is None or memo[0] != context:
-                tokens, text, parts = self._side(context.casefold().split() + ["||"])
-                # the prefix's tail: the tokens and chars its junction n-grams can reach
-                n_words, n_chars = max(self.word_ngrams, default=1) - 1, max(self.char_ngrams, default=1) - 1
-                tail = (tuple(tokens[max(0, len(tokens) - n_words) :]), text[max(0, len(text) - n_chars) :])
-                memo = self._context_memo = (context, parts, tail)
+                tokens = context.casefold().split() + ["||"]
+                text = " ".join(tokens)
+                prefix = self._ids([tokens] * len(self.word_ngrams), [text] * len(self.char_ngrams))
+                # per family, the prefix's tail: its last n - 1 tokens or chars, all a junction n-gram reaches
+                tail = (
+                    tuple(tuple(tokens[max(0, len(tokens) - n + 1) :]) for n in self.word_ngrams),
+                    tuple(text[max(0, len(text) - n + 1) :] for n in self.char_ngrams),
+                )
+                if memo is not None and memo[2] == tail:
+                    tail = memo[2]  # equal tails share one object, which the text memo's keys hold
+                memo = self._context_memo = (context, prefix, tail)
             _, prefix_parts, tail = memo
             stream, ends, n_ids = array("I"), [0], 0
             for text in texts[start:]:
-                pieces = self._junction_memo.get((tail, text))
+                pieces = self._text_memo.get((tail, text))
                 if pieces is None:
-                    pieces = self._junction_memo[tail, text] = self._junction(tail, text)
+                    tokens = text.casefold().split()
+                    joined = " ".join(tokens)
+                    words = [[*t, *tokens] for t in tail[0]]
+                    chars = [f"{t} {joined}" if joined else "" for t in tail[1]]
+                    pieces = self._text_memo[tail, text] = self._ids(words, chars)
                 if len(ends) > 1 and len(ends) * len(self._indices) > scratch_size:
                     break
                 for prefix_part, piece in zip(prefix_parts, pieces):
@@ -200,47 +222,6 @@ class HashedNgramScorer:
             idx_parts.append(np.frombuffer(self._indices, dtype=np.uint32)[ids[kept]])
             cuts += (cuts[-1] + np.searchsorted(kept, ends[1:])).tolist()
         return np.concatenate(idx_parts), np.concatenate(cnt_parts), cuts
-
-    def _row(self, context: str, candidate_text: str) -> FeatureRow:
-        """The row of one pair (see _rows)."""
-        return self._rows(context, [candidate_text])[:2]
-
-    def _features(self, context: str, candidate_text: str) -> dict[int, float]:
-        """The row of _row as an index -> count dict, in the same order."""
-        idx, cnt = self._row(context, candidate_text)
-        return dict(zip(idx.tolist(), cnt.tolist()))
-
-    def _junction(self, tail: tuple, candidate_text: str) -> list[array]:
-        """Per family, the ids of the n-grams across the junction of a prefix ending
-        in tail with the text, then those inside the text."""
-        tail_tokens, tail_text = tail
-        tokens, text, parts = self._side(candidate_text.casefold().split())
-        pieces = []
-        for k, n in enumerate(self.word_ngrams):
-            # at most n - 1 tokens from each side, so every n-gram spans both
-            window = [*tail_tokens[max(0, len(tail_tokens) - n + 1) :], *tokens[: n - 1]]
-            junction = (" ".join(window[i : i + n]) for i in range(len(window) - n + 1))
-            pieces.append(array("I", map(self._grams[k].__getitem__, junction)) + parts[k])
-        for k, n in enumerate(self.char_ngrams, len(self.word_ngrams)):
-            # every n-gram of the window holds the joining space, which an empty text lacks
-            window = f"{tail_text[max(0, len(tail_text) - n + 1) :]} {text[: n - 1]}" if text else ""
-            junction = (window[i : i + n] for i in range(len(window) - n + 1))
-            pieces.append(array("I", map(self._grams[k].__getitem__, junction)) + parts[k])
-        return pieces
-
-    def _side(self, tokens: list[str]) -> tuple[list[str], str, list[array]]:
-        """One side of the junction: its tokens, their joined text, and per
-        n-gram family the ids of the n-grams that lie entirely inside it."""
-        text = " ".join(tokens)
-        words = [[" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)] for n in self.word_ngrams]
-        chars = [[text[i : i + n] for i in range(len(text) - n + 1)] for n in self.char_ngrams]
-        parts = [array("I", map(memo.__getitem__, grams)) for memo, grams in zip(self._grams, words + chars)]
-        return tokens, text, parts
-
-    def _score_features(self, feats: dict[int, float]) -> float:
-        idx = np.fromiter(feats.keys(), dtype=np.intp, count=len(feats))
-        cnt = np.fromiter(feats.values(), dtype=np.float64, count=len(feats))
-        return float(self.weights[idx] @ cnt)
 
     @contextmanager
     def training(self):
@@ -272,18 +253,19 @@ class HashedNgramScorer:
         loss = 0.0
         grad: dict[int, float] = {}
         for context, positive, negatives in batch:
-            pos_feats = self._features(context, positive)
-            pos_score = self._score_features(pos_feats)
-            for negative in negatives:
-                neg_feats = self._features(context, negative)
-                neg_score = self._score_features(neg_feats)
+            idx, cnt, cuts = self._rows(context, [positive, *negatives])
+            weights = self.weights[idx]
+            (pos_idx, pos_cnt, pos_score), *rows = [
+                (idx[s:e].tolist(), cnt[s:e].tolist(), float(weights[s:e] @ cnt[s:e])) for s, e in zip(cuts, cuts[1:])
+            ]
+            for neg_idx, neg_cnt, neg_score in rows:
                 term = margin - pos_score + neg_score
                 if term > 0.0:
                     loss += term
-                    for idx, cnt in pos_feats.items():
-                        grad[idx] = grad.get(idx, 0.0) - cnt
-                    for idx, cnt in neg_feats.items():
-                        grad[idx] = grad.get(idx, 0.0) + cnt
+                    for i, c in zip(pos_idx, pos_cnt):
+                        grad[i] = grad.get(i, 0.0) - c
+                    for i, c in zip(neg_idx, neg_cnt):
+                        grad[i] = grad.get(i, 0.0) + c
         return loss, grad
 
     def train_step(self, batch: list[ContrastiveItem], margin: float, learning_rate: float) -> float:
@@ -436,17 +418,22 @@ def softmax(scores: Sequence[float]) -> np.ndarray:
     return exp / exp.sum()
 
 
-def fuse_scores(rank_scores: list[float], beam_scores: list[float], alpha: float) -> np.ndarray:
-    """alpha * softmax(rank) + (1 - alpha) * softmax(beam), elementwise."""
+def fuse_scores(rank_scores: list[float], beam_scores: list[float], alpha: float | np.ndarray) -> np.ndarray:
+    """alpha * softmax(rank) + (1 - alpha) * softmax(beam), elementwise; a column
+    of alphas gives one row of fused scores per alpha."""
     if len(rank_scores) != len(beam_scores):
         raise ValueError("score lists must have equal length")
-    return fuse_softmaxed(softmax(rank_scores), softmax(beam_scores), alpha)
+    return alpha * softmax(rank_scores) + (1.0 - alpha) * softmax(beam_scores)
 
 
-def fuse_softmaxed(p: np.ndarray, q: np.ndarray, alpha: float | np.ndarray) -> np.ndarray:
-    """The fusion formula, alpha * p + (1 - alpha) * q elementwise, over softmaxed
-    scores; a column of alphas gives one row of fused scores per alpha."""
-    return alpha * p + (1.0 - alpha) * q
+def kept_mask(candidates: CandidateList, alpha: float | np.ndarray, theta: float | np.ndarray) -> np.ndarray:
+    """The selection rule, per candidate: fused score strictly above theta (a tie
+    keeps nothing), from the cached rank scores. Columns of alphas and thetas
+    give one row of the mask per (alpha, theta)."""
+    ranks = [c.rank_score for c in candidates.candidates]
+    if any(rank is None for rank in ranks):
+        raise ValueError(f"candidates of doc {candidates.doc_id!r} carry no rank scores")
+    return fuse_scores(ranks, [c.beam_score for c in candidates.candidates], alpha) > theta
 
 
 def score_candidates(candidates: CandidateList, scorer: HashedNgramScorer) -> CandidateList:
@@ -461,7 +448,7 @@ def fuse_and_select(
     scorer: HashedNgramScorer | None,
     cfg: SelectionConfig,
 ) -> list[Trigger]:
-    """Select final triggers: fused score strictly above theta.
+    """Select final triggers: the candidates kept by kept_mask.
 
     With scorer=None the cached rank scores on the candidates are used
     (selection sweeps over precomputed scores). Returns the union of parsed
@@ -469,18 +456,6 @@ def fuse_and_select(
     order; the explicit no-event candidate contributes no triggers.
     """
     if scorer is not None:
-        scored = score_candidates(candidates, scorer)
-    else:
-        if any(c.rank_score is None for c in candidates.candidates):
-            raise ValueError("candidates carry no rank scores and no scorer was given")
-        scored = candidates
-    rank_scores = [c.rank_score for c in scored.candidates]
-    beam_scores = [c.beam_score for c in scored.candidates]
-    fused = fuse_scores(rank_scores, beam_scores, cfg.alpha)
-    kept = compress(scored.candidates, above_theta(fused, cfg.theta).tolist())
+        candidates = score_candidates(candidates, scorer)
+    kept = compress(candidates.candidates, kept_mask(candidates, cfg.alpha, cfg.theta).tolist())
     return list(dict.fromkeys(trigger for candidate in kept for trigger in candidate.triggers))
-
-
-def above_theta(fused: np.ndarray, theta: float | np.ndarray) -> np.ndarray:
-    """The selection rule, elementwise: fused score strictly above theta (a tie selects nothing)."""
-    return fused > theta

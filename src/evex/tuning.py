@@ -3,15 +3,14 @@
 The search selects with cached candidate scores and cached argument
 predictions; it never calls a generation backend. One sweep scores every
 cell with a fixed handful of numpy calls per doc, however many cells there
-are. Per doc it softmaxes the rank and beam scores once, fuses them for the
-column of the cells' alphas (selector.fuse_softmaxed) and applies the
-selection rule against the column of their thetas (selector.above_theta): a
-(cells, candidates) kept matrix. Its product with the (candidates, triggers)
-parse matrix, > 0, is each cell's union of selected triggers; the frames of
-the doc's distinct triggers are counted for all cells at once
-(metrics.match_count_matrix) and added into the integer totals. The reports
-equal those of evaluate_selection, the per-cell reference. Ties break toward
-the smaller threshold, then the smaller weight.
+are. Per doc the selection rule (selector.kept_mask) fuses the rank and beam
+scores for the column of the cells' alphas and compares them with the column
+of their thetas: a (cells, candidates) kept matrix. Its product with the
+(candidates, triggers) parse matrix, > 0, is each cell's union of selected
+triggers; the frames of the doc's distinct triggers are counted for all cells
+at once (metrics.match_count_matrix) and added into the integer totals. The
+reports equal those of evaluate_selection, the per-cell reference. Ties break
+toward the smaller threshold, then the smaller weight.
 
 The settings rule (checked_grids) is applied by grid_search and at config load.
 """
@@ -28,7 +27,7 @@ import numpy as np
 from .events import ContextInstance
 from .generation import CandidateList, frames_from_cache
 from .metrics import SUBTASKS, TRIG_C, EvalReport, SubtaskScore, evaluate_corpus, match_count_matrix
-from .selector import SelectionConfig, above_theta, fuse_and_select, fuse_softmaxed, softmax
+from .selector import SelectionConfig, fuse_and_select, kept_mask
 
 DEFAULT_ALPHA_GRID = tuple(round(i * 0.1, 1) for i in range(11))  # 0.0 .. 1.0
 DEFAULT_THETA_GRID = tuple(round(i * 0.05, 2) for i in range(1, 20))  # 0.05 .. 0.95
@@ -85,11 +84,8 @@ def sweep_selection(
         if instance.doc_id in doc_ids:
             raise ValueError(f"duplicate doc_id in dev set: {instance.doc_id!r}")
         doc_ids.add(instance.doc_id)
-        if any(c.rank_score is None for c in candidates.candidates):
-            raise ValueError(f"candidates of doc {candidates.doc_id!r} carry no rank scores")
+        kept = kept_mask(candidates, alpha_column, theta_column)  # (cells, candidates)
         cands = candidates.candidates
-        p, q = softmax([c.rank_score for c in cands]), softmax([c.beam_score for c in cands])
-        kept = above_theta(fuse_softmaxed(p, q, alpha_column), theta_column)  # (cells, candidates)
         triggers = list(dict.fromkeys(t for c in cands for t in c.triggers))  # distinct, in first-appearance order
         parses = np.array([[t in c.triggers for t in triggers] for c in cands], dtype=np.float64)
         selected = kept @ parses.reshape(len(cands), len(triggers)) > 0  # each cell's union of triggers

@@ -9,10 +9,11 @@ import pytest
 
 from evex.artifacts import read_jsonl
 from evex.cli import build_parser, load_config, main
+from evex.codec import CodecConfig, build_trigger_prompt, encode_trigger_target
 from evex.corpus import load_corpus
 from evex.generation import candidate_list_from_dict
-from evex.selector import SelectionConfig
-from evex.synthetic import build_demo_run
+from evex.selector import SelectionConfig, kept_mask
+from evex.synthetic import build_demo_run, make_synthetic_corpus
 from evex.tuning import GridCell, evaluate_selection, write_score_table
 
 F1_KEYS = ("trig_i", "trig_c", "arg_i", "arg_c")
@@ -183,10 +184,36 @@ def test_stagewise_run_matches_pipeline(tmp_path):
         assert (rd / name).exists()
 
 
-@pytest.mark.parametrize("flags", [[], ["--alpha", 0.7, "--theta", 0.3]])
-def test_report_sweeps_equal_per_cell_evaluation(tmp_path, flags):
+def add_joined_hypotheses(run_dir: Path, seed: int) -> int:
+    """Give each two-event context of build_demo_run(run_dir, seed) a top-scored
+    hypothesis that joins both gold triggers with the and-token, so a cell can
+    keep two candidates that parse the same trigger. Returns how many it added."""
+    cfg = CodecConfig()
+    script = json.loads((run_dir / "script.json").read_text())
+    two_event = [i for i in make_synthetic_corpus(seed=seed).all_instances() if len(i.gold_frames) == 2]
+    for instance in two_event:
+        joined = encode_trigger_target(list(instance.gold_frames), cfg)
+        script[build_trigger_prompt(instance.context, cfg)].append([joined, 0.0])
+    (run_dir / "script.json").write_text(json.dumps(script))
+    return len(two_event)
+
+
+def kept_parses(candidates, alpha: float, theta: float) -> list:
+    """The triggers of the kept candidates, a trigger once per candidate that parses it."""
+    kept = kept_mask(candidates, alpha, theta).tolist()
+    return [t for c, keep in zip(candidates.candidates, kept) if keep for t in c.triggers]
+
+
+@pytest.mark.parametrize(
+    "flags, joined",
+    [([], False), (["--alpha", 0.7, "--theta", 0.3], False), ([], True)],
+    ids=["flags0", "flags1", "joined_triggers"],
+)
+def test_report_sweeps_equal_per_cell_evaluation(tmp_path, flags, joined):
     rd = tmp_path / "run"
     cfg_path = build_demo_run(rd, seed=9, noisy=True)
+    if joined:
+        assert add_joined_hypotheses(rd, seed=9) > 0
     assert run(["pipeline", "--config", cfg_path, "--run-dir", rd]) == 0
     assert run(["report", "--config", cfg_path, "--run-dir", rd, "--split", "test", *flags]) == 0
     cfg = load_config(str(cfg_path))
@@ -197,6 +224,9 @@ def test_report_sweeps_equal_per_cell_evaluation(tmp_path, flags):
         "theta_sweep.csv": [(alpha, t) for t in sorted(cfg.theta_grid)],
         "alpha_sweep.csv": [(a, theta) for a in sorted(cfg.alpha_grid)],
     }
+    if joined:  # some swept cell keeps two candidates of a doc that parse the same trigger
+        parses = [kept_parses(cl, a, t) for _, cl in paired for cells in sweeps.values() for a, t in cells]
+        assert any(len(p) > len(set(p)) for p in parses)
     for name, cells in sweeps.items():
         table = [GridCell(a, t, evaluate_selection(paired, SelectionConfig(a, t))) for a, t in cells]
         write_score_table(table, tmp_path / name, comment=f"config_hash={cfg.hash} split=test")
@@ -224,6 +254,28 @@ def test_predict_cli_overrides(tmp_path):
     ) == 0
     meta = json.loads((tmp_path / "predictions.jsonl").read_text().splitlines()[0])["__meta__"]
     assert (meta["alpha"], meta["theta"]) == (0.9, 0.45)
+
+
+def no_candidate_above_theta(run_dir: Path) -> int:
+    """The count in the last predict line of run.log."""
+    line = [line for line in (run_dir / "run.log").read_text().splitlines() if " predict[" in line][-1]
+    return int(line.split(", ")[-1].split(" doc(s) with no candidate above theta")[0])
+
+
+def test_predict_counts_docs_with_no_candidate_above_theta(tmp_path):
+    cfg_path = build_demo_run(tmp_path, seed=4)
+    assert run(["pipeline", "--config", cfg_path, "--run-dir", tmp_path]) == 0
+    lists = read_jsonl(tmp_path / "candidates.test.jsonl", convert=candidate_list_from_dict)
+    # fused scores never exceed 1, so theta 1 keeps nothing in any doc with candidates
+    assert run(["predict", "--config", cfg_path, "--run-dir", tmp_path, "--split", "test", "--theta", 1.0]) == 0
+    assert no_candidate_above_theta(tmp_path) == sum(1 for cl in lists if cl.candidates) == len(lists)
+    # beam scores alone keep each empty context's no-event candidate, which selects no trigger
+    assert run(
+        ["predict", "--config", cfg_path, "--run-dir", tmp_path, "--split", "test", "--alpha", 0.0, "--theta", 0.5]
+    ) == 0
+    rows = read_jsonl(tmp_path / "predictions.jsonl")
+    assert sum(1 for row in rows if not row["events"]) > 0
+    assert no_candidate_above_theta(tmp_path) == 0
 
 
 def dev_rank_scores(run_dir: Path) -> list:

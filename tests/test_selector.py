@@ -159,6 +159,12 @@ def reference_features(scorer, context, candidate_text):
     return counts
 
 
+def reference_score(scorer, feats):
+    """The weights' dot product with an index -> count dict, in its order."""
+    idx = np.fromiter(feats.keys(), dtype=np.intp, count=len(feats))
+    return float(scorer.weights[idx] @ np.fromiter(feats.values(), dtype=np.float64, count=len(feats)))
+
+
 ODD_PIECES = [
     "a", "Bc", " ", "\t", "\n", "ß", "ẞ", "İ", "ǅ", "ΟΔΟΣ", "ς", "[", "]", "[]",
     "||", "|", "😀", "[none]", "x [T]",
@@ -190,9 +196,9 @@ def test_features_match_whole_pair_reference(dim, word_ngrams, char_ngrams):
     scorer.weights = np.random.default_rng(dim).normal(size=dim)
     for context, text in featurizer_pairs(rng):
         want = reference_features(scorer, context, text)
-        got = scorer._features(context, text)
-        assert [(k, float(v)) for k, v in got.items()] == list(want.items())
-        assert scorer.score(context, text) == scorer._score_features(want)
+        idx, cnt, _ = scorer._rows(context, [text])
+        assert list(zip(idx.tolist(), cnt.tolist())) == list(want.items())
+        assert scorer.score(context, text) == reference_score(scorer, want)
 
 
 @pytest.mark.parametrize("dim", [7, 2**18])
@@ -208,7 +214,7 @@ def test_rows_across_memo_resets_match_a_fresh_scorer(dim):
     for context, text in featurizer_pairs(rng):
         fresh = HashedNgramScorer(dim=dim)
         fresh.weights = weights
-        (got_idx, got_cnt), (want_idx, want_cnt) = capped._row(context, text), fresh._row(context, text)
+        (got_idx, got_cnt), (want_idx, want_cnt) = capped._rows(context, [text])[:2], fresh._rows(context, [text])[:2]
         assert got_idx.tolist() == want_idx.tolist() and got_cnt.tolist() == want_cnt.tolist()
         assert capped.score(context, text) == fresh.score(context, text)
     assert len(resets) > 20
@@ -229,7 +235,7 @@ def test_batched_scores_match_whole_pair_reference(dim, word_ngrams, char_ngrams
     scorer = HashedNgramScorer(dim=dim, word_ngrams=word_ngrams, char_ngrams=char_ngrams)
     scorer.weights = np.random.default_rng(dim).normal(size=dim)
     for context, texts in texts_by_context(featurizer_pairs(rng)).items():
-        want = [scorer._score_features(reference_features(scorer, context, text)) for text in texts]
+        want = [reference_score(scorer, reference_features(scorer, context, text)) for text in texts]
         assert scorer.scores(context, texts) == want
         assert [scorer.score(context, text) for text in texts] == want
 
@@ -240,7 +246,7 @@ def test_batched_scores_edge_cases():
     context = "troops fired on the crowd ."
     assert scorer.scores(context, []) == []
     texts = ["fired [Attack]", "", "fired [Attack]", "crowd [Meet]", "", "fired [Attack]"]
-    want = [scorer._score_features(reference_features(scorer, context, t)) for t in texts]
+    want = [reference_score(scorer, reference_features(scorer, context, t)) for t in texts]
     assert scorer.scores(context, texts) == want
     rng = random.Random(9)
     words = ["fired", "crowd", "bomb", "ẞtraße", "||", "[and]", "x", "😀"]
@@ -248,7 +254,7 @@ def test_batched_scores_edge_cases():
     got = scorer.scores(context, texts)
     # the list is longer than one chunk, and the scratch holds one chunk
     assert len(texts) * len(scorer._indices) > 4 * scorer.MEMO_SIZE == len(scorer._first)
-    assert got == [scorer._score_features(reference_features(scorer, context, t)) for t in texts]
+    assert got == [reference_score(scorer, reference_features(scorer, context, t)) for t in texts]
 
 
 @pytest.mark.parametrize("dim", [7, 2**18])
@@ -275,7 +281,7 @@ def test_junction_memo_is_keyed_by_the_prefix_tail():
     scorer.weights = np.random.default_rng(4).normal(size=scorer.dim)
     text = "fired [Attack]"
     for context in ("troops fired", "a bomb exploded", "troops fired"):
-        want = scorer._score_features(reference_features(scorer, context, text))
+        want = reference_score(scorer, reference_features(scorer, context, text))
         assert scorer.scores(context, [text]) == [want]
 
 

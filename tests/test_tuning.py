@@ -198,6 +198,17 @@ def test_sweep_rejects_repeated_doc_id():
         sweep_selection(dev + dev[:1], [(0.5, 0.3)])
 
 
+def test_sweep_and_grid_search_name_a_doc_without_rank_scores():
+    dev = planted_dev_set()
+    instance, cl = dev[1]
+    unscored = TriggerCandidate("b [T]", (Trigger("b", "T"),), 0.0)
+    dev[1] = (instance, CandidateList(cl.doc_id, cl.context, (*cl.candidates[:2], unscored)))
+    with pytest.raises(ValueError, match="doc 'd2' carry no rank scores"):
+        sweep_selection(dev, [(0.5, 0.3)])
+    with pytest.raises(ValueError, match="doc 'd2' carry no rank scores"):
+        grid_search(dev)
+
+
 def test_grid_search_reproducible():
     rng = random.Random(52)
     dev = random_scored_dev(rng)
