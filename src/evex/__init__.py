@@ -18,7 +18,6 @@ from .events import ArgumentPair, ContextInstance, EventFrame, Trigger, ontology
 from .generation import (
     GenerationConfig,
     ScriptedBackend,
-    Seq2SeqBackend,
     attach_argument_cache,
     frames_from_cache,
     generate_trigger_candidates,
@@ -45,7 +44,6 @@ __all__ = [
     "ScriptedBackend",
     "SelectionConfig",
     "SelectorTrainConfig",
-    "Seq2SeqBackend",
     "Trigger",
     "attach_argument_cache",
     "build_argument_prompt",

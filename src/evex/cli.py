@@ -43,7 +43,6 @@ from .generation import (
     CandidateList,
     GenerationConfig,
     ScriptedBackend,
-    Seq2SeqBackend,
     attach_argument_cache,
     candidate_list_from_dict,
     candidate_list_to_dict,
@@ -104,6 +103,8 @@ class RunConfig:
             if backend.get("id", BACKEND_ID) != BACKEND_ID:
                 raise ValueError(f"unknown backend id: {backend['id']!r} (known: {BACKEND_ID!r})")
             self.backend_script = backend.get("script")
+            if not isinstance(self.backend_script, str):
+                ScriptedBackend(self.backend_script)  # checks an inline script now; a file one at gen-candidates
             self.codec = CodecConfig(**raw.get("codec", {}))
             self.generation = GenerationConfig(**raw.get("generation", {}))
             self.selector_train = SelectorTrainConfig(**raw.get("selector_train", {}))
@@ -176,19 +177,18 @@ def _require(path: Path, hint: str) -> Path:
     return path
 
 
-def _build_backend(cfg: RunConfig, run_dir: Path) -> Seq2SeqBackend:
-    script = cfg.backend_script
-    if script is None:
-        return ScriptedBackend()
-    if isinstance(script, str):
-        script_path = Path(script)
-        if not script_path.is_absolute():
-            script_path = run_dir / script_path
-        try:
-            script = json.loads(script_path.read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigError(f"cannot read backend script {script_path}: {exc}") from exc
-    return ScriptedBackend({k: [tuple(h) for h in v] for k, v in script.items()})
+def _build_backend(cfg: RunConfig, run_dir: Path) -> ScriptedBackend:
+    """The backend of the config's script: none, inline, or a file path, which
+    resolves against the run directory (corpus paths resolve against the config's)."""
+    if not isinstance(cfg.backend_script, str):
+        return ScriptedBackend(cfg.backend_script)
+    script_path = run_dir / cfg.backend_script  # an absolute path replaces run_dir
+    try:
+        return ScriptedBackend(json.loads(script_path.read_text(encoding="utf-8")))
+    except OSError as exc:
+        raise ConfigError(f"cannot read backend script {script_path}: {exc}") from exc
+    except (TypeError, ValueError) as exc:  # not JSON, or not an input -> hypotheses map
+        raise ConfigError(f"bad backend script {script_path}: {exc}") from exc
 
 
 def _read_pairs(run_dir: Path, cfg: RunConfig) -> list[TrainingPair]:
@@ -219,7 +219,7 @@ def cmd_preprocess(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> N
     pairs = make_corpus_pairs(instances, ontology, cfg.codec, **cfg.pairs)
     artifacts.write_json(
         run_dir / "ontology.json",
-        {"roles_by_type": {t: list(r) for t, r in ontology.roles_by_type.items()}},
+        {"roles_by_type": {t: list(r) for t, r in ontology.items()}},
         cfg.hash,
     )
     artifacts.write_jsonl(

@@ -124,7 +124,7 @@ def encode_argument_target(frame: EventFrame, ontology: Ontology, cfg: CodecConf
     if event_type not in ontology:
         raise ValueError(f"type not in ontology: {event_type}")
     slots = []
-    for role in ontology.roles_for(event_type):
+    for role in ontology[event_type]:
         entities = [p.entity for p in frame.arguments if p.role == role]
         fill = f" {cfg.and_token} ".join(entities) if entities else cfg.none_token
         slots.append(f"<{role}> {fill} </{role}>")
@@ -140,9 +140,8 @@ def decode_argument_output(text: str, cfg: CodecConfig) -> tuple[list[ArgumentPa
     """
     pairs: list[ArgumentPair] = []
     warnings: list[str] = []
-    consumed: list[tuple[int, int]] = []
-    for m in _ROLE_SPAN_RE.finditer(text):
-        consumed.append(m.span())
+
+    def read_span(m: re.Match) -> str:
         role = normalize_ws(m.group("role"))
         fill = normalize_ws(m.group("fill"))
         for entity in fill.split(cfg.and_token):
@@ -156,16 +155,9 @@ def decode_argument_output(text: str, cfg: CodecConfig) -> tuple[list[ArgumentPa
                 pairs.append(ArgumentPair(role, entity))
             except ValueError as exc:
                 warnings.append(f"invalid argument pair: role {role!r}: {exc}")
-    leftover = _strip_spans(text, consumed)
+        return ""
+
+    leftover = _ROLE_SPAN_RE.sub(read_span, text)  # the text outside every read span
     for tag in _TAG_RE.findall(leftover):
         warnings.append(f"unmatched tag: {tag}")
     return pairs, warnings
-
-
-def _strip_spans(text: str, spans: list[tuple[int, int]]) -> str:
-    out, prev = [], 0
-    for start, end in spans:
-        out.append(text[prev:start])
-        prev = end
-    out.append(text[prev:])
-    return "".join(out)

@@ -1,14 +1,15 @@
 """Domain types: triggers, argument pairs, event frames, contexts, and the
 training-time role ontology.
 
-All types are immutable after construction and safe to share across threads.
+The dataclasses are immutable after construction and safe to share across
+threads.
 Surface strings are whitespace-normalized once, at construction, so that
 downstream equality checks are plain string comparisons.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def normalize_ws(text: str) -> str:
@@ -122,28 +123,9 @@ class ContextInstance:
         ]
 
 
-@dataclass(frozen=True)
-class Ontology:
-    """Event type -> ordered role list, induced from training data.
-
-    Used only when encoding argument targets for training; inference never
-    consults it.
-    """
-
-    roles_by_type: dict[str, tuple[str, ...]] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "roles_by_type",
-            {t: tuple(roles) for t, roles in self.roles_by_type.items()},
-        )
-
-    def roles_for(self, event_type: str) -> tuple[str, ...]:
-        return self.roles_by_type[event_type]
-
-    def __contains__(self, event_type: str) -> bool:
-        return event_type in self.roles_by_type
+# event type -> ordered role list, induced from training data; used only when
+# encoding argument targets for training, inference never consults it
+Ontology = dict[str, tuple[str, ...]]
 
 
 def ontology_from_corpus(instances: list[ContextInstance]) -> Ontology:
@@ -161,4 +143,4 @@ def ontology_from_corpus(instances: list[ContextInstance]) -> Ontology:
                     raise ValueError(f"role name must not contain angle brackets: {pair.role!r}")
                 if pair.role not in roles:
                     roles.append(pair.role)
-    return Ontology({t: tuple(r) for t, r in roles_by_type.items()})
+    return {t: tuple(r) for t, r in roles_by_type.items()}

@@ -1,4 +1,4 @@
-"""Sequence-to-sequence backend abstraction and trigger-candidate generation.
+"""Sequence-to-sequence backend and trigger-candidate generation.
 
 Trigger candidates come from beam search (top-k hypotheses with scores);
 argument strings come from greedy decoding. The core stays backend-agnostic:
@@ -9,6 +9,7 @@ in the synthetic experiments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .codec import (
@@ -48,17 +49,13 @@ class TriggerCandidate:
     rank_score: float | None = None
 
     def __post_init__(self) -> None:
-        if not _finite(self.beam_score):
+        if not math.isfinite(self.beam_score):
             raise ValueError("beam score must be finite")
         object.__setattr__(self, "triggers", tuple(self.triggers))
 
     def trigger_key(self) -> tuple[tuple[str, str], ...]:
         """Parsed trigger multiset, order-insensitive; the dedup key."""
         return tuple(sorted((t.word, t.event_type) for t in self.triggers))
-
-
-def _finite(x: float) -> bool:
-    return x == x and abs(x) != float("inf")
 
 
 @dataclass(frozen=True)
@@ -86,40 +83,30 @@ class CandidateList:
         return CandidateList(self.doc_id, self.context, candidates, self.arguments_by_word)
 
 
-class Seq2SeqBackend:
-    """Abstract text-to-text generator.
-
-    generate_topk returns at most k (text, score) hypotheses sorted by score
-    descending; scores are finite log-scale reals. Outputs are deterministic
-    given fixed state.
-    """
-
-    def fit(self, pairs: list[TrainingPair]) -> None:
-        raise NotImplementedError
-
-    def generate_topk(self, input_text: str, k: int) -> list[tuple[str, float]]:
-        raise NotImplementedError
-
-    def generate_greedy(self, input_text: str) -> str:
-        raise NotImplementedError
-
-
-class ScriptedBackend(Seq2SeqBackend):
+class ScriptedBackend:
     """Deterministic backend driven by an input -> hypotheses script.
+
+    The backend contract, which a real seq2seq model would also meet:
+    fit(pairs) on the generator training pairs; generate_topk(input_text, k)
+    returns at most k (text, score) hypotheses sorted by score descending,
+    scores finite log-scale reals; generate_greedy(input_text) returns one
+    string. Outputs are deterministic given fixed state.
 
     Unscripted inputs yield no hypotheses (empty string under greedy).
     fit() memorizes training pairs as scripted entries for inputs that are
-    not already scripted; pre-scripted entries are never overridden.
+    not already scripted; pre-scripted entries are never overridden. A
+    script that is not such a map raises TypeError or ValueError.
     """
 
     def __init__(self, script: dict[str, list[tuple[str, float]]] | None = None):
+        if not isinstance(script, (dict, type(None))):
+            raise TypeError(f"backend script must map inputs to hypothesis lists, got {type(script).__name__}")
         self._script: dict[str, list[tuple[str, float]]] = {}
         for input_text, hypotheses in (script or {}).items():
-            entries = [(str(t), float(s)) for t, s in hypotheses]
-            for _, s in entries:
-                if not _finite(s):
-                    raise ValueError("scripted scores must be finite")
-            self._script[input_text] = sorted(entries, key=lambda ts: -ts[1])
+            entries = [(t, s) for t, s in hypotheses]
+            if not all(isinstance(t, str) and is_number(s) and math.isfinite(s) for t, s in entries):
+                raise ValueError(f"scripted hypotheses must be (text, finite score) pairs: {input_text!r}")
+            self._script[input_text] = sorted(((t, float(s)) for t, s in entries), key=lambda ts: -ts[1])
 
     def fit(self, pairs: list[TrainingPair]) -> None:
         memorized: dict[str, list[str]] = {}
@@ -140,7 +127,7 @@ class ScriptedBackend(Seq2SeqBackend):
 
 
 def generate_trigger_candidates(
-    backend: Seq2SeqBackend,
+    backend: ScriptedBackend,
     instance: ContextInstance,
     cfg: GenerationConfig,
     codec_cfg: CodecConfig,
@@ -174,7 +161,7 @@ def generate_trigger_candidates(
 
 
 def generate_arguments(
-    backend: Seq2SeqBackend,
+    backend: ScriptedBackend,
     context: str,
     trigger: Trigger,
     codec_cfg: CodecConfig,
@@ -190,7 +177,7 @@ def generate_arguments(
 
 
 def attach_argument_cache(
-    backend: Seq2SeqBackend,
+    backend: ScriptedBackend,
     candidate_list: CandidateList,
     codec_cfg: CodecConfig,
 ) -> tuple[CandidateList, list[str]]:

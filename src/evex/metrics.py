@@ -14,7 +14,7 @@ summed over keys, then micro-averaged corpus-wide.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -107,16 +107,6 @@ class SubtaskScore:
         precision, recall, f1 = f1_from_counts(n_correct, n_pred, n_gold)
         return cls(n_gold, n_pred, n_correct, precision, recall, f1)
 
-    def to_dict(self) -> dict:
-        return {
-            "n_gold": self.n_gold,
-            "n_pred": self.n_pred,
-            "n_correct": self.n_correct,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-        }
-
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -131,7 +121,7 @@ class EvalReport:
         ]
 
     def to_dict(self) -> dict:
-        return {name: self.score(name).to_dict() for name in SUBTASKS}
+        return asdict(self)
 
     def summary(self) -> str:
         lines = []

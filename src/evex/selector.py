@@ -14,8 +14,8 @@ distinct n-gram once into a dense id, keeps a context's prefix ids, and
 memoises each text's ids with those across the " || " junction. numpy counts
 the id streams of a context's candidates, in one batch, into feature rows
 (hashed indices and counts, in first-appearance order).
-Building rows again in every epoch would dominate training, so a training
-call keeps a feature table of each unique pair's row for its steps.
+Building rows again in every epoch would dominate training, so the scorer
+keeps a feature table of each unique pair's row it has trained on.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import random
 import zlib
 from array import array
 from collections.abc import Sequence
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import compress
 from pathlib import Path
@@ -143,8 +142,8 @@ class HashedNgramScorer:
         if any(n < 1 for n in self.word_ngrams + self.char_ngrams):
             raise ValueError("n-gram lengths must be positive")
         self.weights = np.zeros(self.dim, dtype=np.float64)
-        # (context, text) -> FeatureRow, kept only inside training()
-        self._table: dict[tuple[str, str], FeatureRow] | None = None
+        # (context, text) -> FeatureRow of train_step; rows never depend on the weights
+        self._table: dict[tuple[str, str], FeatureRow] = {}
         self._first = np.empty(0, dtype=np.int32)
         self._reset_memos()
 
@@ -223,15 +222,6 @@ class HashedNgramScorer:
             cuts += (cuts[-1] + np.searchsorted(kept, ends[1:])).tolist()
         return np.concatenate(idx_parts), np.concatenate(cnt_parts), cuts
 
-    @contextmanager
-    def training(self):
-        """Keep the feature table for the steps of one training call."""
-        self._table = {}
-        try:
-            yield
-        finally:
-            self._table = None
-
     def scores(self, context: str, texts: Sequence[str]) -> list[float]:
         """Relevance of each candidate text to the context, from one batch of rows."""
         idx, cnt, cuts = self._rows(context, texts)
@@ -277,8 +267,7 @@ class HashedNgramScorer:
         subgradient is a sum of integer counts, exact in any order, so it is
         accumulated per index with bincount.
         """
-        weights = self.weights
-        table = self._table if self._table is not None else {}
+        weights, table = self.weights, self._table
         loss = 0.0
         idx_parts: list[np.ndarray] = []
         val_parts: list[np.ndarray] = []
@@ -397,16 +386,15 @@ def train_selector(
         raise ValueError("untrainable dataset: no instance with both a positive and a negative")
 
     result = SelectorTrainResult(n_trained=n_trained, n_skipped=len(data) - n_trained)
-    with scorer.training():
-        for _ in range(cfg.epochs):
-            order = list(range(len(data)))
-            rng.shuffle(order)
-            epoch_loss = 0.0
-            for i in order:
-                batch = batch_for(data[i], rng.randrange(2**31))
-                if batch:
-                    epoch_loss += scorer.train_step(batch, cfg.margin, cfg.learning_rate)
-            result.loss_per_epoch.append(epoch_loss)
+    for _ in range(cfg.epochs):
+        order = list(range(len(data)))
+        rng.shuffle(order)
+        epoch_loss = 0.0
+        for i in order:
+            batch = batch_for(data[i], rng.randrange(2**31))
+            if batch:
+                epoch_loss += scorer.train_step(batch, cfg.margin, cfg.learning_rate)
+        result.loss_per_epoch.append(epoch_loss)
     return result
 
 

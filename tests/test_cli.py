@@ -59,11 +59,19 @@ def test_bad_config_exits_2(tmp_path):
         ("scorer", {"dim": 1000.5}),
         ("generation", {"beam_width": 2.5}),
         ("selector_train", {"epochs": 2.5}),
+        ("backend", {"script": 5}),
+        ("backend", {"script": [1, 2]}),
+        ("backend", {"script": {"p": [["a"]]}}),
+        ("backend", {"script": {"p": [["a [T]", "NaN"]]}}),
+        ("backend", {"script": {"p": [["a [T]", "1.5"]]}}),
+        ("backend", {"script": {"p": [[5, -0.1]]}}),
     ],
     ids=[
         "theta_grid_1.5", "alpha_grid_negative", "alpha_grids_typo", "dims_typo", "dim_string", "include_emptyy_typo",
         "include_empty_string", "alpha_grid_string", "backend_bert", "none_token_int", "corpus_tset",
         "dim_float", "beam_width_float", "epochs_float",
+        "script_int", "script_list", "script_hypothesis_without_score", "script_score_nan",
+        "script_score_string", "script_text_int",
     ],
 )
 def test_bad_config_section_exits_2_before_any_stage(tmp_path, capsys, section, value):
@@ -74,6 +82,18 @@ def test_bad_config_section_exits_2_before_any_stage(tmp_path, capsys, section, 
     assert run(["pipeline", "--config", cfg_path, "--run-dir", tmp_path]) == 2
     assert "error: bad run config" in capsys.readouterr().err
     assert not (tmp_path / "pairs.jsonl").exists()
+
+
+@pytest.mark.parametrize("content", ["{not json", "[1, 2]"], ids=["not_json", "json_list"])
+def test_bad_script_file_exits_2_at_gen_candidates(tmp_path, capsys, content):
+    cfg_path = build_demo_run(tmp_path, seed=2)
+    (tmp_path / "script.json").write_text(content)
+    assert run(["preprocess", "--config", cfg_path, "--run-dir", tmp_path]) == 0
+    assert run(["gen-candidates", "--config", cfg_path, "--run-dir", tmp_path, "--split", "train"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: bad backend script {tmp_path / 'script.json'}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "candidates.train.jsonl").exists()
 
 
 def test_tune_without_dev_candidates_exits_3(tmp_path, capsys):

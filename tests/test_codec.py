@@ -161,7 +161,16 @@ def test_decode_argument_tolerates_tag_whitespace():
 def test_decode_argument_unmatched_tags_warn():
     pairs, warnings = decode_argument_output("<Agent> he </Agent> <Place> home", CFG)
     assert pairs == [ArgumentPair("Agent", "he")]
-    assert any("unmatched tag" in w for w in warnings)
+    assert warnings == ["unmatched tag: <Place>"]
+    # stray tags before, between and after role spans; span warnings come first
+    pairs, warnings = decode_argument_output("<X> <A> a </A> </Y> <B> [None] </B> <C> <D> </D>", CFG)
+    assert pairs == [ArgumentPair("A", "a")]
+    assert warnings == [
+        "empty entity: role 'D'",
+        "unmatched tag: <X>",
+        "unmatched tag: </Y>",
+        "unmatched tag: <C>",
+    ]
 
 
 def test_trigger_roundtrip_randomized():

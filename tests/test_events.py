@@ -68,21 +68,21 @@ def test_same_word_may_head_two_event_types():
 def test_ontology_single_frame_induction():
     inst = ContextInstance("d", "He went home .", (frame("went", "Movement_Transport", ("Destination", "home")),))
     onto = ontology_from_corpus([inst])
-    assert onto.roles_by_type == {"Movement_Transport": ("Destination",)}
+    assert onto == {"Movement_Transport": ("Destination",)}
 
 
 def test_ontology_first_seen_role_order():
     i1 = ContextInstance("a", "x killed y .", (frame("killed", "Life_Die", ("Agent", "x")),))
     i2 = ContextInstance("b", "y died at home .", (frame("died", "Life_Die", ("Place", "home")),))
     onto = ontology_from_corpus([i1, i2])
-    assert onto.roles_by_type["Life_Die"] == ("Agent", "Place")
+    assert onto["Life_Die"] == ("Agent", "Place")
 
 
 def test_ontology_empty_corpus_vs_zero_frames():
     with pytest.raises(ValueError, match="empty corpus"):
         ontology_from_corpus([])
     onto = ontology_from_corpus([ContextInstance("d", "nothing happened .", ())])
-    assert onto.roles_by_type == {}
+    assert onto == {}
 
 
 def test_ontology_induction_idempotent():
