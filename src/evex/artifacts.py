@@ -24,11 +24,14 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def write_jsonl(path: str | Path, rows: Iterable[dict], meta: dict) -> None:
+def write_jsonl(path: str | Path, rows: Iterable, meta: dict) -> None:
+    """The meta header, then one JSON line per row, all from one encoder (json.dumps
+    would build one per row; the bytes are the same)."""
+    encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
     with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps({META_KEY: meta}, sort_keys=True, ensure_ascii=False) + "\n")
+        fh.write(encode({META_KEY: meta}) + "\n")
         for row in rows:
-            fh.write(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n")
+            fh.write(encode(row) + "\n")
 
 
 def read_jsonl(path: str | Path, expect_hash: str | None = None, convert: Callable | None = None) -> list:
@@ -57,7 +60,7 @@ def read_meta(path: str | Path) -> dict:
     """The meta header of a JSONL artifact, {} if it has none."""
     with Path(path).open(encoding="utf-8") as fh:
         first = json.loads(fh.readline() or "{}")
-    return first.get(META_KEY, {})
+    return first.get(META_KEY, {}) if isinstance(first, dict) else {}
 
 
 def write_json(path: str | Path, payload: dict, cfg_hash: str) -> None:

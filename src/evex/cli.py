@@ -5,8 +5,10 @@ Stages read and write a run directory:
     pairs.jsonl               generator training pairs
     ontology.json             induced role ontology
     load_report.{split}.json  corpus load problems
-    candidates.{split}.jsonl  candidate lists with scores and cached arguments
-                              (rank scores cached under the selector.model digest)
+    candidates.{split}.jsonl  candidate raw texts, beam scores and cached arguments
+                              (written by gen-candidates only)
+    rank_scores.{split}.jsonl rank-score cache, keyed by the selector.model and
+                              candidates file digests
     selector.model            rank scorer parameters + training trace
     tuning.csv / tuned.json   grid-search table and chosen (alpha, theta)
     predictions.jsonl         final frames per doc
@@ -26,6 +28,7 @@ import logging
 import sys
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from . import artifacts
@@ -74,8 +77,9 @@ log = logging.getLogger("evex")
 SPLITS = ("train", "dev", "test")
 # the one backend id: a ScriptedBackend
 BACKEND_ID = "toy"
-# candidates meta key: sha256 of the selector.model bytes the rank scores came from
+# rank_scores meta keys: sha256 of the selector.model and candidates file bytes the scores came from
 MODEL_DIGEST_KEY = "selector_sha256"
+CANDIDATES_DIGEST_KEY = "candidates_sha256"
 
 
 class ConfigError(Exception):
@@ -199,18 +203,8 @@ def _read_pairs(run_dir: Path, cfg: RunConfig) -> list[TrainingPair]:
 
 def _read_candidates(run_dir: Path, cfg: RunConfig, split: str) -> list[CandidateList]:
     path = _require(run_dir / f"candidates.{split}.jsonl", f"gen-candidates on {split}")
-    return artifacts.read_jsonl(path, cfg.hash, convert=candidate_list_from_dict)
-
-
-def _write_candidates(
-    run_dir: Path, cfg: RunConfig, split: str, lists: list[CandidateList], model_digest: str | None = None
-) -> None:
-    meta = {"artifact": "candidates", "split": split, "config_hash": cfg.hash}
-    if model_digest is not None:
-        meta[MODEL_DIGEST_KEY] = model_digest
-    artifacts.write_jsonl(
-        run_dir / f"candidates.{split}.jsonl", (candidate_list_to_dict(cl) for cl in lists), meta
-    )
+    convert = partial(candidate_list_from_dict, codec_cfg=cfg.codec, parsed={})  # one parse memo per read
+    return artifacts.read_jsonl(path, cfg.hash, convert=convert)
 
 
 def cmd_preprocess(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> None:
@@ -252,7 +246,11 @@ def cmd_gen_candidates(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) 
             message.removeprefix(doc_prefix).partition(": ")[0] for message in warnings + arg_warnings
         )
         lists.append(candidates)
-    _write_candidates(run_dir, cfg, split, lists)
+    artifacts.write_jsonl(
+        run_dir / f"candidates.{split}.jsonl",
+        (candidate_list_to_dict(cl) for cl in lists),
+        {"artifact": "candidates", "split": split, "config_hash": cfg.hash},
+    )
     by_kind = ", ".join(f"{kind}: {count}" for kind, count in sorted(warning_kinds.items()))
     log.info(
         "gen-candidates[%s]: %d contexts, %d parse warning(s)%s",
@@ -299,16 +297,29 @@ def cmd_train_selector(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) 
 def _scored_candidates(cfg: RunConfig, run_dir: Path, split: str) -> list[CandidateList]:
     """Candidates of a split with rank scores from the current selector.
 
-    The scores are cached in candidates.{split}.jsonl under the sha256 of the
-    selector.model bytes; any other model, a retrained one included, rescores.
+    The scores are cached in rank_scores.{split}.jsonl, one list per doc in
+    candidate order, under the sha256 of the selector.model bytes and of the
+    candidates file bytes: a retrained selector or regenerated candidates rescore.
     """
     candidate_lists = _read_candidates(run_dir, cfg, split)
     model_path = _require(run_dir / "selector.model", "train-selector")
-    digest = hashlib.sha256(model_path.read_bytes()).hexdigest()
-    if artifacts.read_meta(run_dir / f"candidates.{split}.jsonl").get(MODEL_DIGEST_KEY) != digest:
-        scorer = HashedNgramScorer.from_dict(artifacts.read_json(model_path, cfg.hash))
-        candidate_lists = [score_candidates(cl, scorer) for cl in candidate_lists]
-        _write_candidates(run_dir, cfg, split, candidate_lists, digest)
+    digests = {
+        MODEL_DIGEST_KEY: hashlib.sha256(model_path.read_bytes()).hexdigest(),
+        CANDIDATES_DIGEST_KEY: hashlib.sha256((run_dir / f"candidates.{split}.jsonl").read_bytes()).hexdigest(),
+    }
+    path = run_dir / f"rank_scores.{split}.jsonl"
+    try:
+        if path.exists() and digests.items() <= artifacts.read_meta(path).items():  # both digests match
+            rows = artifacts.read_jsonl(path, cfg.hash, convert=lambda row: [float(s) for s in row])
+            return [cl.with_rank_scores(s) for cl, s in zip(candidate_lists, rows, strict=True)]
+    except (TypeError, ValueError) as exc:  # not JSON, or rows that do not line up with the candidates
+        raise DataError(
+            f"rank score cache {path} does not match candidates.{split}.jsonl ({exc}); delete it to rescore"
+        ) from exc
+    scorer = HashedNgramScorer.from_dict(artifacts.read_json(model_path, cfg.hash))
+    candidate_lists = [score_candidates(cl, scorer) for cl in candidate_lists]
+    meta = {"artifact": "rank_scores", "split": split, "config_hash": cfg.hash, **digests}
+    artifacts.write_jsonl(path, ([c.rank_score for c in cl.candidates] for cl in candidate_lists), meta)
     return candidate_lists
 
 

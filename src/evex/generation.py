@@ -103,10 +103,12 @@ class ScriptedBackend:
             raise TypeError(f"backend script must map inputs to hypothesis lists, got {type(script).__name__}")
         self._script: dict[str, list[tuple[str, float]]] = {}
         for input_text, hypotheses in (script or {}).items():
-            entries = [(t, s) for t, s in hypotheses]
-            if not all(isinstance(t, str) and is_number(s) and math.isfinite(s) for t, s in entries):
-                raise ValueError(f"scripted hypotheses must be (text, finite score) pairs: {input_text!r}")
-            self._script[input_text] = sorted(((t, float(s)) for t, s in entries), key=lambda ts: -ts[1])
+            if not isinstance(hypotheses, list) or not all(
+                isinstance(h, (list, tuple)) and len(h) == 2 and isinstance(h[0], str) and is_number(h[1])
+                and math.isfinite(h[1]) for h in hypotheses
+            ):
+                raise ValueError(f"scripted hypotheses must be a list of (text, finite score) pairs: {input_text!r}")
+            self._script[input_text] = sorted(((t, float(s)) for t, s in hypotheses), key=lambda ts: -ts[1])
 
     def fit(self, pairs: list[TrainingPair]) -> None:
         memorized: dict[str, list[str]] = {}
@@ -207,18 +209,11 @@ def frames_from_cache(candidate_list: CandidateList, triggers: list[Trigger]) ->
 
 
 def candidate_list_to_dict(cl: CandidateList) -> dict:
+    """The stored form: each candidate's raw text and beam score, no parse (the codec redoes it)."""
     return {
         "doc_id": cl.doc_id,
         "context": cl.context,
-        "candidates": [
-            {
-                "raw_text": c.raw_text,
-                "triggers": [{"word": t.word, "type": t.event_type} for t in c.triggers],
-                "beam_score": c.beam_score,
-                "rank_score": c.rank_score,
-            }
-            for c in cl.candidates
-        ],
+        "candidates": [{"raw_text": c.raw_text, "beam_score": c.beam_score} for c in cl.candidates],
         "arguments": {
             word: [{"role": p.role, "entity": p.entity} for p in pairs]
             for word, pairs in cl.arguments_by_word.items()
@@ -226,16 +221,19 @@ def candidate_list_to_dict(cl: CandidateList) -> dict:
     }
 
 
-def candidate_list_from_dict(raw: dict) -> CandidateList:
-    candidates = tuple(
-        TriggerCandidate(
-            raw_text=c["raw_text"],
-            triggers=tuple(Trigger(t["word"], t["type"]) for t in c["triggers"]),
-            beam_score=float(c["beam_score"]),
-            rank_score=None if c.get("rank_score") is None else float(c["rank_score"]),
-        )
-        for c in raw["candidates"]
-    )
+def candidate_list_from_dict(
+    raw: dict, codec_cfg: CodecConfig, parsed: dict[str, tuple[Trigger, ...]]
+) -> CandidateList:
+    """The inverse of candidate_list_to_dict. Each candidate's triggers are decoded
+    from its raw text, stored whitespace-normalized as the decoder reads it, so they
+    equal the generated parse; parsed memoizes raw text -> triggers across the rows
+    of one read."""
+    candidates = []
+    for c in raw["candidates"]:
+        text = c["raw_text"]
+        if text not in parsed:
+            parsed[text] = tuple(decode_trigger_candidate(text, codec_cfg)[0])
+        candidates.append(TriggerCandidate(text, parsed[text], float(c["beam_score"])))
     arguments = {
         word: tuple(ArgumentPair(p["role"], p["entity"]) for p in pairs)
         for word, pairs in raw.get("arguments", {}).items()

@@ -1,7 +1,9 @@
 import logging
+from functools import partial
 
 from evex import artifacts
 from evex.cli import main
+from evex.codec import CodecConfig
 from evex.generation import candidate_list_from_dict
 from evex.synthetic import build_demo_run
 
@@ -23,12 +25,13 @@ def test_read_jsonl_converts_each_row_and_still_warns(tmp_path, caplog):
     path = tmp_path / "candidates.test.jsonl"
     stored = artifacts.read_meta(path)["config_hash"]
 
-    want = [candidate_list_from_dict(r) for r in artifacts.read_jsonl(path, stored)]
+    want = [candidate_list_from_dict(r, CodecConfig(), {}) for r in artifacts.read_jsonl(path, stored)]
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="evex"):
-        assert artifacts.read_jsonl(path, stored, convert=candidate_list_from_dict) == want
+        convert = partial(candidate_list_from_dict, codec_cfg=CodecConfig(), parsed={})
+        assert artifacts.read_jsonl(path, stored, convert=convert) == want
         assert not caplog.records
-        assert artifacts.read_jsonl(path, "0" * 16, convert=candidate_list_from_dict) == want
+        assert artifacts.read_jsonl(path, "0" * 16, convert=convert) == want
     assert want and all(cl.candidates for cl in want)
     assert [r.message for r in caplog.records] == [
         f"config hash mismatch for {path}: artifact {stored}, current {'0' * 16}"

@@ -3,6 +3,7 @@ import io
 import json
 import logging
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -65,13 +66,17 @@ def test_bad_config_exits_2(tmp_path):
         ("backend", {"script": {"p": [["a [T]", "NaN"]]}}),
         ("backend", {"script": {"p": [["a [T]", "1.5"]]}}),
         ("backend", {"script": {"p": [[5, -0.1]]}}),
+        ("backend", {"script": {"p": [["a", 1.0, 2]]}}),
+        ("backend", {"script": {"p": [5]}}),
+        ("backend", {"script": {"p": None}}),
     ],
     ids=[
         "theta_grid_1.5", "alpha_grid_negative", "alpha_grids_typo", "dims_typo", "dim_string", "include_emptyy_typo",
         "include_empty_string", "alpha_grid_string", "backend_bert", "none_token_int", "corpus_tset",
         "dim_float", "beam_width_float", "epochs_float",
         "script_int", "script_list", "script_hypothesis_without_score", "script_score_nan",
-        "script_score_string", "script_text_int",
+        "script_score_string", "script_text_int", "script_hypothesis_triple", "script_hypothesis_int",
+        "script_hypotheses_null",
     ],
 )
 def test_bad_config_section_exits_2_before_any_stage(tmp_path, capsys, section, value):
@@ -80,7 +85,10 @@ def test_bad_config_section_exits_2_before_any_stage(tmp_path, capsys, section, 
     cfg[section] = value
     cfg_path.write_text(json.dumps(cfg))
     assert run(["pipeline", "--config", cfg_path, "--run-dir", tmp_path]) == 2
-    assert "error: bad run config" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: bad run config" in err
+    if isinstance(value.get("script"), dict):  # a malformed hypothesis list is named by its prompt
+        assert "'p'" in err
     assert not (tmp_path / "pairs.jsonl").exists()
 
 
@@ -218,6 +226,17 @@ def add_joined_hypotheses(run_dir: Path, seed: int) -> int:
     return len(two_event)
 
 
+def read_candidates(run_dir: Path, split: str) -> list:
+    convert = partial(candidate_list_from_dict, codec_cfg=CodecConfig(), parsed={})
+    return read_jsonl(run_dir / f"candidates.{split}.jsonl", convert=convert)
+
+
+def scored_lists(run_dir: Path, split: str) -> list:
+    """The split's candidate lists with the cached rank scores attached, read back from the two artifacts."""
+    scores = read_jsonl(run_dir / f"rank_scores.{split}.jsonl")
+    return [cl.with_rank_scores(s) for cl, s in zip(read_candidates(run_dir, split), scores, strict=True)]
+
+
 def kept_parses(candidates, alpha: float, theta: float) -> list:
     """The triggers of the kept candidates, a trigger once per candidate that parses it."""
     kept = kept_mask(candidates, alpha, theta).tolist()
@@ -238,7 +257,7 @@ def test_report_sweeps_equal_per_cell_evaluation(tmp_path, flags, joined):
     assert run(["report", "--config", cfg_path, "--run-dir", rd, "--split", "test", *flags]) == 0
     cfg = load_config(str(cfg_path))
     instances = {i.doc_id: i for i in load_corpus(rd / "corpus.test.jsonl").instances}
-    paired = [(instances[cl.doc_id], cl) for cl in read_jsonl(rd / "candidates.test.jsonl", convert=candidate_list_from_dict)]
+    paired = [(instances[cl.doc_id], cl) for cl in scored_lists(rd, "test")]
     alpha, theta = (0.7, 0.3) if flags else (0.4, 0.2)  # the flags, else the library defaults
     sweeps = {
         "theta_sweep.csv": [(alpha, t) for t in sorted(cfg.theta_grid)],
@@ -285,7 +304,7 @@ def no_candidate_above_theta(run_dir: Path) -> int:
 def test_predict_counts_docs_with_no_candidate_above_theta(tmp_path):
     cfg_path = build_demo_run(tmp_path, seed=4)
     assert run(["pipeline", "--config", cfg_path, "--run-dir", tmp_path]) == 0
-    lists = read_jsonl(tmp_path / "candidates.test.jsonl", convert=candidate_list_from_dict)
+    lists = read_candidates(tmp_path, "test")
     # fused scores never exceed 1, so theta 1 keeps nothing in any doc with candidates
     assert run(["predict", "--config", cfg_path, "--run-dir", tmp_path, "--split", "test", "--theta", 1.0]) == 0
     assert no_candidate_above_theta(tmp_path) == sum(1 for cl in lists if cl.candidates) == len(lists)
@@ -299,8 +318,7 @@ def test_predict_counts_docs_with_no_candidate_above_theta(tmp_path):
 
 
 def dev_rank_scores(run_dir: Path) -> list:
-    rows = (run_dir / "candidates.dev.jsonl").read_text().splitlines()[1:]
-    return [[c["rank_score"] for c in json.loads(row)["candidates"]] for row in rows]
+    return read_jsonl(run_dir / "rank_scores.dev.jsonl")
 
 
 def test_retrained_selector_rescores_cached_candidates(tmp_path):
@@ -317,6 +335,73 @@ def test_retrained_selector_rescores_cached_candidates(tmp_path):
     assert dev_rank_scores(fresh) != seed0_scores
     assert dev_rank_scores(retrained) == dev_rank_scores(fresh)
     assert (retrained / "tuning.csv").read_bytes() == (fresh / "tuning.csv").read_bytes()
+
+
+def test_only_gen_candidates_writes_candidates(tmp_path):
+    cfg = build_demo_run(tmp_path, seed=9, noisy=True)
+    assert run(["preprocess", "--config", cfg, "--run-dir", tmp_path]) == 0
+    for split in ("train", "dev", "test"):
+        assert run(["gen-candidates", "--config", cfg, "--run-dir", tmp_path, "--split", split]) == 0
+    written = {split: (tmp_path / f"candidates.{split}.jsonl").read_bytes() for split in ("train", "dev", "test")}
+    assert run(["train-selector", "--config", cfg, "--run-dir", tmp_path]) == 0
+    for command in ("tune", "predict", "evaluate", "report"):
+        assert run([command, "--config", cfg, "--run-dir", tmp_path]) == 0
+    for split, blob in written.items():
+        assert (tmp_path / f"candidates.{split}.jsonl").read_bytes() == blob
+    assert sorted(p.name for p in tmp_path.glob("rank_scores.*")) == [f"rank_scores.{s}.jsonl" for s in ("dev", "test")]
+
+
+def test_regenerated_candidates_rescore(tmp_path):
+    """A new backend script regenerates candidates.test.jsonl; the next predict
+    rescores them, as a fresh run with that script does."""
+    regenerated, fresh = tmp_path / "regenerated", tmp_path / "fresh"
+    for rd in (regenerated, fresh):
+        build_demo_run(rd, seed=9, noisy=True)
+    assert run(["pipeline", "--config", regenerated / "config.json", "--run-dir", regenerated]) == 0
+    dev_scores, test_scores = dev_rank_scores(regenerated), (regenerated / "rank_scores.test.jsonl").read_bytes()
+    for rd in (regenerated, fresh):  # one new top hypothesis per test context
+        script = json.loads((rd / "script.json").read_text())
+        for instance in load_corpus(rd / "corpus.test.jsonl").instances:
+            prompt = build_trigger_prompt(instance.context, CodecConfig())
+            script[prompt].append([f"{instance.context.split()[0]} [New]", 0.0])
+        (rd / "script.json").write_text(json.dumps(script))
+    config = regenerated / "config.json"
+    assert run(["gen-candidates", "--config", config, "--run-dir", regenerated, "--split", "test"]) == 0
+    assert run(["predict", "--config", config, "--run-dir", regenerated]) == 0
+    assert run(["pipeline", "--config", fresh / "config.json", "--run-dir", fresh]) == 0
+
+    assert (regenerated / "selector.model").read_bytes() == (fresh / "selector.model").read_bytes()
+    assert (regenerated / "rank_scores.test.jsonl").read_bytes() != test_scores
+    for name in ("candidates.test.jsonl", "rank_scores.test.jsonl", "predictions.jsonl"):
+        assert (regenerated / name).read_bytes() == (fresh / name).read_bytes()
+    assert dev_rank_scores(regenerated) == dev_scores
+
+
+@pytest.mark.parametrize("damage", ["missing_row", "short_row", "cut_mid_line", "no_header"])
+def test_damaged_rank_scores_exit_4_or_rescore(tmp_path, capsys, damage):
+    """Rows out of line with the candidates under matching digests are a data
+    error; a cache with no header matches no digest, so it is scored again."""
+    cfg = build_demo_run(tmp_path, seed=9, noisy=True)
+    assert run(["pipeline", "--config", cfg, "--run-dir", tmp_path]) == 0
+    path = tmp_path / "rank_scores.test.jsonl"
+    written = path.read_text()
+    lines = written.splitlines(keepends=True)
+    damaged = {
+        "missing_row": "".join(lines[:-1]),
+        "short_row": "".join(lines[:-1]) + json.dumps(json.loads(lines[-1])[:-1]) + "\n",
+        "cut_mid_line": written[: len(written) - len(lines[-1]) // 2],
+        "no_header": "".join(lines[1:]),
+    }
+    path.write_text(damaged[damage])
+    capsys.readouterr()
+    rc = run(["predict", "--config", cfg, "--run-dir", tmp_path])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if damage == "no_header":
+        assert rc == 0 and path.read_text() == written
+    else:
+        assert rc == 4
+        assert f"error: rank score cache {path} does not match candidates.test.jsonl" in err
 
 
 def artifact_hashes(run_dir: Path) -> dict:

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -178,6 +179,33 @@ def test_candidate_list_dict_roundtrip():
     prompt = build_trigger_prompt(context, CFG)
     backend = ScriptedBackend({prompt: [("a [T]", -0.25), ("[none]", -0.5)]})
     lists, _ = generate_trigger_candidates(backend, instance(context), GEN, CFG)
-    lists = lists.with_rank_scores([0.5, -0.5])
-    raw = candidate_list_to_dict(lists)
-    assert candidate_list_from_dict(raw) == lists
+    raw = candidate_list_to_dict(lists.with_rank_scores([0.5, -0.5]))
+    # the stored form holds no parse and no rank score: those come from the codec and rank_scores.*
+    assert all(set(c) == {"raw_text", "beam_score"} for c in raw["candidates"])
+    assert candidate_list_from_dict(raw, CFG, {}) == lists
+
+
+def test_wide_beam_dict_roundtrip_decodes_the_generated_parse():
+    context = "a b c d e ."
+    prompt = build_trigger_prompt(context, CFG)
+    hypotheses = [
+        ("a [T] [and] b [U]", -0.1),  # joint target
+        ("  b  [U]   [and]\ta [T] ", -0.2),  # its whitespace duplicate, with a lower beam score
+        ("c   [T]", -0.3),  # survives, stored whitespace-normalized
+        ("d [T] [and] e [Bad Type]", -0.4),  # a type with a space: the raw text keeps a segment the parse drops
+        ("[ None ]", -0.5),  # the empty token
+        ("e [Bad Type]", -0.6),  # parses to nothing: dropped
+        ("c [T]", -0.7),  # duplicate of a normalized raw text
+    ]
+    args = {build_argument_prompt(context, w, CFG): [(f"<R> {w}{w} </R>", 0.0)] for w in "abcd"}
+    backend = ScriptedBackend({prompt: hypotheses, **args})
+    generated, _ = generate_trigger_candidates(backend, instance(context), GenerationConfig(beam_width=20), CFG)
+    generated, _ = attach_argument_cache(backend, generated, CFG)
+    texts = ["a [T] [and] b [U]", "c [T]", "d [T] [and] e [Bad Type]", "[ None ]"]
+    assert [c.raw_text for c in generated.candidates] == texts
+    assert generated.candidates[2].triggers == (Trigger("d", "T"),)
+    parsed = {}
+    raw = json.loads(json.dumps(candidate_list_to_dict(generated)))
+    assert candidate_list_from_dict(raw, CFG, parsed) == generated
+    assert candidate_list_from_dict(raw, CFG, parsed) == generated  # from the memo this time
+    assert set(parsed) == {c.raw_text for c in generated.candidates}
