@@ -5,28 +5,23 @@ argument prompts and role-tagged targets, candidate parsing, fused-score
 selection, and the four evaluation metrics.
 """
 
-from evex import (
-    ArgumentPair,
+from evex.codec import (
     CodecConfig,
-    ContextInstance,
-    EventFrame,
-    GenerationConfig,
-    ScriptedBackend,
-    SelectionConfig,
-    Trigger,
-    attach_argument_cache,
     build_argument_prompt,
     build_trigger_prompt,
     encode_argument_target,
     encode_trigger_target,
-    evaluate_corpus,
-    frames_from_cache,
-    fuse_and_select,
-    generate_trigger_candidates,
-    ontology_from_corpus,
-    score_candidates,
 )
-from evex.selector import HashedNgramScorer
+from evex.events import ArgumentPair, ContextInstance, EventFrame, Trigger, ontology_from_corpus
+from evex.generation import (
+    GenerationConfig,
+    ScriptedBackend,
+    attach_argument_cache,
+    frames_from_cache,
+    generate_trigger_candidates,
+)
+from evex.metrics import evaluate_corpus
+from evex.selector import HashedNgramScorer, SelectionConfig, fuse_and_select, score_candidates
 
 cfg = CodecConfig()
 

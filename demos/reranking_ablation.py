@@ -12,19 +12,10 @@ then falls: very low thresholds admit junk candidates, very high ones
 drop correct triggers in multi-event contexts.
 """
 
-from evex import (
-    CodecConfig,
-    GenerationConfig,
-    ScriptedBackend,
-    SelectionConfig,
-    SelectorTrainConfig,
-    attach_argument_cache,
-    generate_trigger_candidates,
-    ontology_from_corpus,
-    score_candidates,
-    train_selector,
-)
-from evex.selector import HashedNgramScorer
+from evex.codec import CodecConfig
+from evex.events import ontology_from_corpus
+from evex.generation import GenerationConfig, ScriptedBackend, attach_argument_cache, generate_trigger_candidates
+from evex.selector import HashedNgramScorer, SelectionConfig, SelectorTrainConfig, score_candidates, train_selector
 from evex.synthetic import make_synthetic_corpus, noisy_script
 from evex.tuning import evaluate_selection, grid_search
 

@@ -3,7 +3,8 @@
 Every artifact embeds the run-config hash for provenance: JSONL files carry
 a meta header line, JSON files a top-level field, CSV files a leading
 comment. Artifacts are timestamp-free so identical runs are byte-identical;
-timestamps live only in the sidecar log.
+timestamps live only in the sidecar log. Writers replace an artifact whole, and
+readers name an artifact that does not parse in a DataError.
 """
 
 from __future__ import annotations
@@ -11,12 +12,40 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from collections.abc import Callable, Iterable
+import os
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import contextmanager
 from pathlib import Path
+from typing import TextIO
 
 log = logging.getLogger("evex")
 
 META_KEY = "__meta__"
+
+
+class DataError(Exception):
+    exit_code = 4
+
+
+@contextmanager
+def replacing(path: str | Path) -> Iterator[TextIO]:
+    """A file that replaces path when the block ends: a failed write leaves path as it was."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+@contextmanager
+def _reading(path: str | Path) -> Iterator[TextIO]:
+    try:
+        with Path(path).open(encoding="utf-8") as fh:
+            yield fh
+    except ValueError as exc:  # not JSON or not UTF-8: cut short or damaged
+        raise DataError(f"{path} does not parse ({exc})") from exc
 
 
 def config_hash(config: dict) -> str:
@@ -28,7 +57,7 @@ def write_jsonl(path: str | Path, rows: Iterable, meta: dict) -> None:
     """The meta header, then one JSON line per row, all from one encoder (json.dumps
     would build one per row; the bytes are the same)."""
     encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         fh.write(encode({META_KEY: meta}) + "\n")
         for row in rows:
             fh.write(encode(row) + "\n")
@@ -38,7 +67,7 @@ def read_jsonl(path: str | Path, expect_hash: str | None = None, convert: Callab
     """Rows of a JSONL artifact, header excluded, each passed through convert as it
     is read (so the raw rows are never all alive at once). A hash mismatch warns."""
     rows: list = []
-    with Path(path).open(encoding="utf-8") as fh:
+    with _reading(path) as fh:
         for i, line in enumerate(fh):
             line = line.strip()
             if not line:
@@ -58,7 +87,7 @@ def read_jsonl(path: str | Path, expect_hash: str | None = None, convert: Callab
 
 def read_meta(path: str | Path) -> dict:
     """The meta header of a JSONL artifact, {} if it has none."""
-    with Path(path).open(encoding="utf-8") as fh:
+    with _reading(path) as fh:
         first = json.loads(fh.readline() or "{}")
     return first.get(META_KEY, {}) if isinstance(first, dict) else {}
 
@@ -66,14 +95,13 @@ def read_meta(path: str | Path) -> dict:
 def write_json(path: str | Path, payload: dict, cfg_hash: str) -> None:
     payload = dict(payload)
     payload["config_hash"] = cfg_hash
-    Path(path).write_text(
-        json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    with replacing(path) as fh:
+        fh.write(json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n")
 
 
 def read_json(path: str | Path, expect_hash: str | None = None) -> dict:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    with _reading(path) as fh:
+        payload = json.load(fh)
     stored = payload.get("config_hash")
     if expect_hash and stored and stored != expect_hash:
         log.warning("config hash mismatch for %s: artifact %s, current %s", path, stored, expect_hash)

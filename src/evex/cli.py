@@ -4,7 +4,7 @@ Stages read and write a run directory:
 
     pairs.jsonl               generator training pairs
     ontology.json             induced role ontology
-    load_report.{split}.json  corpus load problems
+    load_report.{split}.json  corpus load problems (written by gen-candidates)
     candidates.{split}.jsonl  candidate raw texts, beam scores and cached arguments
                               (written by gen-candidates only)
     rank_scores.{split}.jsonl rank-score cache, keyed by the selector.model and
@@ -32,12 +32,14 @@ from functools import partial
 from pathlib import Path
 
 from . import artifacts
+from .artifacts import DataError
 from .codec import CodecConfig
 from .corpus import (
     frame_from_dict,
     frame_to_dict,
     load_corpus,
     make_corpus_pairs,
+    LoadResult,
     TrainingPair,
 )
 from .events import ContextInstance, ontology_from_corpus
@@ -75,6 +77,7 @@ from .tuning import (
 log = logging.getLogger("evex")
 
 SPLITS = ("train", "dev", "test")
+SECTIONS = ("corpus", "backend", "codec", "generation", "selector_train", "scorer", "pairs", "selection", "tuning")
 # the one backend id: a ScriptedBackend
 BACKEND_ID = "toy"
 # rank_scores meta keys: sha256 of the selector.model and candidates file bytes the scores came from
@@ -90,10 +93,6 @@ class MissingArtifactError(Exception):
     exit_code = 3
 
 
-class DataError(Exception):
-    exit_code = 4
-
-
 class RunConfig:
     """Validated view of the run-config JSON file: each value is checked, not
     coerced, when the file is loaded, by the code that owns its rule."""
@@ -102,6 +101,8 @@ class RunConfig:
         self.path = path
         self.hash = artifacts.config_hash(raw)
         try:
+            if set(raw) - set(SECTIONS):
+                raise ValueError(f"unknown top-level key(s): {sorted(set(raw) - set(SECTIONS))}")
             self.corpus = _section(raw, "corpus", SPLITS, str)
             backend = _section(raw, "backend", ("id", "script"))
             if backend.get("id", BACKEND_ID) != BACKEND_ID:
@@ -112,7 +113,7 @@ class RunConfig:
             self.codec = CodecConfig(**raw.get("codec", {}))
             self.generation = GenerationConfig(**raw.get("generation", {}))
             self.selector_train = SelectorTrainConfig(**raw.get("selector_train", {}))
-            self.scorer_params = dict(raw.get("scorer", {}))
+            self.scorer_params = raw.get("scorer", {})
             HashedNgramScorer(**self.scorer_params)  # checks keys and values now, not at train-selector
             self.pairs = _section(raw, "pairs", ("multi_trigger_target", "include_empty"), bool)
             selection = raw.get("selection", "tune")
@@ -135,8 +136,10 @@ class RunConfig:
 
 
 def _section(raw: dict, name: str, known: tuple[str, ...], kind: type = object) -> dict:
-    """The config section `name`; a key outside `known`, or a value not of type `kind`, is an error."""
-    section = dict(raw.get(name, {}))
+    """The config section `name`, a JSON object; a key outside `known`, or a value not of type `kind`, is an error."""
+    section = raw.get(name, {})
+    if not isinstance(section, dict):
+        raise ValueError(f"{name} must be a JSON object")
     if set(section) - set(known):
         raise ValueError(f"unknown {name} key(s): {sorted(set(section) - set(known))}")
     if not all(isinstance(value, kind) for value in section.values()):
@@ -157,22 +160,15 @@ def load_config(path: str) -> RunConfig:
     return RunConfig(raw, config_path)
 
 
-def _load_split(cfg: RunConfig, run_dir: Path, split: str) -> list[ContextInstance]:
+def _load_split(cfg: RunConfig, split: str) -> LoadResult:
     path = cfg.corpus_path(split)
     try:
         result = load_corpus(path, cfg.codec)
     except OSError as exc:
         raise DataError(f"cannot read corpus {path}: {exc}") from exc
-    artifacts.write_json(
-        run_dir / f"load_report.{split}.json",
-        {"path": str(path), **result.to_dict()},
-        cfg.hash,
-    )
-    if result.problems:
-        log.warning("%s: %d load problem(s), see load_report.%s.json", path, len(result.problems), split)
     if not result.instances:
-        raise DataError(f"corpus {path} contains no usable instances")
-    return result.instances
+        raise DataError(f"corpus {path} contains no usable instances ({len(result.problems)} load problem(s))")
+    return result
 
 
 def _require(path: Path, hint: str) -> Path:
@@ -208,7 +204,7 @@ def _read_candidates(run_dir: Path, cfg: RunConfig, split: str) -> list[Candidat
 
 
 def cmd_preprocess(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> None:
-    instances = _load_split(cfg, run_dir, "train")
+    instances = _load_split(cfg, "train").instances
     ontology = ontology_from_corpus(instances)
     pairs = make_corpus_pairs(instances, ontology, cfg.codec, **cfg.pairs)
     artifacts.write_json(
@@ -229,10 +225,14 @@ def cmd_gen_candidates(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) 
     pairs = _read_pairs(run_dir, cfg)
     backend = _build_backend(cfg, run_dir)
     backend.fit(pairs)
-    instances = _load_split(cfg, run_dir, split)
+    loaded = _load_split(cfg, split)  # every split passes through here, so its load report is written here
+    report = {"path": str(cfg.corpus_path(split)), **loaded.to_dict()}
+    artifacts.write_json(run_dir / f"load_report.{split}.json", report, cfg.hash)
+    if loaded.problems:
+        log.warning("%s: %d load problem(s), see load_report.%s.json", report["path"], len(loaded.problems), split)
     lists: list[CandidateList] = []
     warning_kinds: Counter[str] = Counter()
-    for instance in instances:
+    for instance in loaded.instances:
         try:
             candidates, warnings = generate_trigger_candidates(
                 backend, instance, cfg.generation, cfg.codec
@@ -264,7 +264,7 @@ def cmd_gen_candidates(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) 
 def cmd_train_selector(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> None:
     data = [
         (cl.context, [f.trigger for f in instance.gold_frames], cl)
-        for instance, cl in _with_gold(cfg, run_dir, "train", _read_candidates(run_dir, cfg, "train"))
+        for instance, cl in _with_gold(cfg, "train", _read_candidates(run_dir, cfg, "train"))
     ]
     train_cfg = cfg.selector_train
     if args.seed is not None:
@@ -312,7 +312,7 @@ def _scored_candidates(cfg: RunConfig, run_dir: Path, split: str) -> list[Candid
         if path.exists() and digests.items() <= artifacts.read_meta(path).items():  # both digests match
             rows = artifacts.read_jsonl(path, cfg.hash, convert=lambda row: [float(s) for s in row])
             return [cl.with_rank_scores(s) for cl, s in zip(candidate_lists, rows, strict=True)]
-    except (TypeError, ValueError) as exc:  # not JSON, or rows that do not line up with the candidates
+    except (TypeError, ValueError, DataError) as exc:  # not JSON, or rows that do not line up with the candidates
         raise DataError(
             f"rank score cache {path} does not match candidates.{split}.jsonl ({exc}); delete it to rescore"
         ) from exc
@@ -323,11 +323,9 @@ def _scored_candidates(cfg: RunConfig, run_dir: Path, split: str) -> list[Candid
     return candidate_lists
 
 
-def _with_gold(
-    cfg: RunConfig, run_dir: Path, split: str, lists: list[CandidateList]
-) -> list[tuple[ContextInstance, CandidateList]]:
+def _with_gold(cfg: RunConfig, split: str, lists: list[CandidateList]) -> list[tuple[ContextInstance, CandidateList]]:
     """Each candidate list paired with its instance in the split's corpus."""
-    instances = {i.doc_id: i for i in _load_split(cfg, run_dir, split)}
+    instances = {i.doc_id: i for i in _load_split(cfg, split).instances}
     paired = []
     for cl in lists:
         if cl.doc_id not in instances:
@@ -337,7 +335,7 @@ def _with_gold(
 
 
 def cmd_tune(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> None:
-    dev = _with_gold(cfg, run_dir, "dev", _scored_candidates(cfg, run_dir, "dev"))
+    dev = _with_gold(cfg, "dev", _scored_candidates(cfg, run_dir, "dev"))
     result = grid_search(dev, cfg.alpha_grid, cfg.theta_grid, cfg.metric)
     best_f1 = result.best_report().score(result.metric).f1
     write_score_table(result.table, run_dir / "tuning.csv", comment=f"config_hash={cfg.hash}")
@@ -397,7 +395,7 @@ def cmd_evaluate(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> Non
     predictions = [
         (r["doc_id"], [frame_from_dict(e) for e in r["events"]]) for r in rows
     ]
-    gold = _load_split(cfg, run_dir, split)
+    gold = _load_split(cfg, split).instances
     try:
         report = evaluate_corpus(predictions, gold)
     except ValueError as exc:
@@ -408,17 +406,14 @@ def cmd_evaluate(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> Non
 
 def cmd_report(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> None:
     split = args.split
-    paired = _with_gold(cfg, run_dir, split, _scored_candidates(cfg, run_dir, split))
+    paired = _with_gold(cfg, split, _scored_candidates(cfg, run_dir, split))
     base = _resolve_selection(cfg, args)
     theta_pairs = [(base.alpha, t) for t in sorted(cfg.theta_grid)]
     cells = sweep_selection(paired, theta_pairs + [(a, base.theta) for a in sorted(cfg.alpha_grid)])
     theta_cells, alpha_cells = cells[: len(theta_pairs)], cells[len(theta_pairs) :]
-    write_score_table(
-        theta_cells, run_dir / "theta_sweep.csv", comment=f"config_hash={cfg.hash} split={split}"
-    )
-    write_score_table(
-        alpha_cells, run_dir / "alpha_sweep.csv", comment=f"config_hash={cfg.hash} split={split}"
-    )
+    comment = f"config_hash={cfg.hash} split={split}"
+    write_score_table(theta_cells, run_dir / "theta_sweep.csv", comment)
+    write_score_table(alpha_cells, run_dir / "alpha_sweep.csv", comment)
     log.info(
         "report[%s]: wrote theta_sweep.csv (alpha=%g) and alpha_sweep.csv (theta=%g)", split, base.alpha, base.theta
     )

@@ -75,11 +75,8 @@ class CandidateList:
         object.__setattr__(self, "candidates", tuple(self.candidates))
 
     def with_rank_scores(self, scores: list[float]) -> "CandidateList":
-        if len(scores) != len(self.candidates):
-            raise ValueError("one rank score per candidate required")
-        candidates = tuple(
-            TriggerCandidate(c.raw_text, c.triggers, c.beam_score, s) for c, s in zip(self.candidates, scores)
-        )
+        scored = zip(self.candidates, scores, strict=True)  # one score per candidate, else ValueError
+        candidates = tuple(TriggerCandidate(c.raw_text, c.triggers, c.beam_score, s) for c, s in scored)
         return CandidateList(self.doc_id, self.context, candidates, self.arguments_by_word)
 
 

@@ -31,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import replacing
 from .codec import CodecConfig, encode_trigger
 from .events import Trigger, is_number
 from .generation import CandidateList
@@ -318,7 +319,8 @@ class HashedNgramScorer:
         blob = self.to_dict()
         if extra:
             blob.update(extra)
-        Path(path).write_text(json.dumps(blob, sort_keys=True), encoding="utf-8")
+        with replacing(path) as fh:
+            fh.write(json.dumps(blob, sort_keys=True))
 
 
 def hinge_loss(pos_scores: list[float], neg_scores: list[float], margin: float) -> float:

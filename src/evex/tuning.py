@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import replacing
 from .events import ContextInstance
 from .generation import CandidateList, frames_from_cache
 from .metrics import SUBTASKS, TRIG_C, EvalReport, SubtaskScore, evaluate_corpus, match_count_matrix
@@ -129,11 +130,10 @@ def checked_grids(
     return [float(alpha) for alpha in alpha_grid], [float(theta) for theta in theta_grid]
 
 
-def write_score_table(cells: list[GridCell] | tuple[GridCell, ...], path: str | Path, comment: str | None = None) -> None:
-    """CSV rows (alpha, theta, four F1 columns); optional leading # comment."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
+def write_score_table(cells: list[GridCell] | tuple[GridCell, ...], path: str | Path, comment: str) -> None:
+    """A leading # comment, then CSV rows (alpha, theta, four F1 columns)."""
+    with replacing(path) as fh:
+        fh.write(f"# {comment}\n")
         writer = csv.writer(fh)
         writer.writerow(["alpha", "theta", "trig_i_f1", "trig_c_f1", "arg_i_f1", "arg_c_f1"])
         for cell in cells:

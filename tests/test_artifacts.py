@@ -1,6 +1,8 @@
 import logging
 from functools import partial
 
+import pytest
+
 from evex import artifacts
 from evex.cli import main
 from evex.codec import CodecConfig
@@ -16,6 +18,21 @@ def test_write_jsonl_from_a_generator_writes_the_bytes_of_a_list(tmp_path):
     artifacts.write_jsonl(tmp_path / "gen.jsonl", (dict(r) for r in rows), META)
     assert (tmp_path / "gen.jsonl").read_bytes() == (tmp_path / "list.jsonl").read_bytes()
     assert artifacts.read_jsonl(tmp_path / "gen.jsonl") == rows
+
+
+def test_a_failed_write_leaves_the_old_artifact(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    artifacts.write_jsonl(path, [{"a": 1}, {"a": 2}], META)
+    old = path.read_bytes()
+
+    def rows():
+        yield {"a": 3}
+        raise RuntimeError("killed mid-write")
+
+    with pytest.raises(RuntimeError):
+        artifacts.write_jsonl(path, rows(), META)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["rows.jsonl"]
 
 
 def test_read_jsonl_converts_each_row_and_still_warns(tmp_path, caplog):

@@ -69,6 +69,10 @@ def test_bad_config_exits_2(tmp_path):
         ("backend", {"script": {"p": [["a", 1.0, 2]]}}),
         ("backend", {"script": {"p": [5]}}),
         ("backend", {"script": {"p": None}}),
+        ("selecton", {"alpha": 0.9, "theta": 0.9}),
+        ("pairs", [["include_empty", False]]),
+        ("scorer", [["dim", 1024]]),
+        ("tuning", [["metric", "trig_i"]]),
     ],
     ids=[
         "theta_grid_1.5", "alpha_grid_negative", "alpha_grids_typo", "dims_typo", "dim_string", "include_emptyy_typo",
@@ -76,7 +80,7 @@ def test_bad_config_exits_2(tmp_path):
         "dim_float", "beam_width_float", "epochs_float",
         "script_int", "script_list", "script_hypothesis_without_score", "script_score_nan",
         "script_score_string", "script_text_int", "script_hypothesis_triple", "script_hypothesis_int",
-        "script_hypotheses_null",
+        "script_hypotheses_null", "selecton_typo", "pairs_list", "scorer_list", "tuning_list",
     ],
 )
 def test_bad_config_section_exits_2_before_any_stage(tmp_path, capsys, section, value):
@@ -87,7 +91,7 @@ def test_bad_config_section_exits_2_before_any_stage(tmp_path, capsys, section, 
     assert run(["pipeline", "--config", cfg_path, "--run-dir", tmp_path]) == 2
     err = capsys.readouterr().err
     assert "error: bad run config" in err
-    if isinstance(value.get("script"), dict):  # a malformed hypothesis list is named by its prompt
+    if isinstance(value, dict) and isinstance(value.get("script"), dict):  # a bad script is named by its prompt
         assert "'p'" in err
     assert not (tmp_path / "pairs.jsonl").exists()
 
@@ -402,6 +406,49 @@ def test_damaged_rank_scores_exit_4_or_rescore(tmp_path, capsys, damage):
     else:
         assert rc == 4
         assert f"error: rank score cache {path} does not match candidates.test.jsonl" in err
+
+
+def cut_mid_line(path: Path) -> None:
+    """Keep the first half of the file, ending inside a line."""
+    data = path.read_bytes()
+    cut = len(data) // 2
+    while b"\n" in data[cut - 1 : cut + 1]:
+        cut -= 1
+    path.write_bytes(data[:cut])
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        ("predict", "selector.model"),
+        ("predict", "tuned.json"),
+        ("evaluate", "predictions.jsonl"),
+        ("gen-candidates", "pairs.jsonl"),
+    ],
+)
+def test_damaged_artifact_exits_4(tmp_path, capsys, command, name):
+    cfg = build_demo_run(tmp_path, seed=9, noisy=True)
+    assert run(["pipeline", "--config", cfg, "--run-dir", tmp_path]) == 0
+    cut_mid_line(tmp_path / name)
+    capsys.readouterr()
+    flags = ["--split", "test"] if command == "gen-candidates" else []
+    assert run([command, "--config", cfg, "--run-dir", tmp_path, *flags]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"error: {tmp_path / name} does not parse" in err
+
+
+def test_only_gen_candidates_writes_load_reports(tmp_path):
+    cfg = build_demo_run(tmp_path, seed=9, noisy=True)
+    assert run(["pipeline", "--config", cfg, "--run-dir", tmp_path]) == 0
+    reports = sorted(tmp_path.glob("load_report.*.json"))
+    assert [p.name for p in reports] == [f"load_report.{s}.json" for s in ("dev", "test", "train")]
+    assert not list(tmp_path.glob("*.tmp"))
+    for path in reports:
+        path.unlink()
+    for command in ("train-selector", "tune", "predict", "evaluate", "report"):
+        assert run([command, "--config", cfg, "--run-dir", tmp_path]) == 0
+    assert not list(tmp_path.glob("load_report.*"))
 
 
 def artifact_hashes(run_dir: Path) -> dict:
