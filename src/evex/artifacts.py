@@ -3,8 +3,8 @@
 Every artifact embeds the run-config hash for provenance: JSONL files carry
 a meta header line, JSON files a top-level field, CSV files a leading
 comment. Artifacts are timestamp-free so identical runs are byte-identical;
-timestamps live only in the sidecar log. Writers replace an artifact whole, and
-readers name an artifact that does not parse in a DataError.
+timestamps live only in the sidecar log. Writers replace an artifact whole; readers
+name an artifact that does not parse, or does not fit its converter, in a DataError.
 """
 
 from __future__ import annotations
@@ -44,13 +44,19 @@ def _reading(path: str | Path) -> Iterator[TextIO]:
     try:
         with Path(path).open(encoding="utf-8") as fh:
             yield fh
-    except ValueError as exc:  # not JSON or not UTF-8: cut short or damaged
-        raise DataError(f"{path} does not parse ({exc})") from exc
+    except (LookupError, TypeError, AttributeError, ValueError) as exc:  # damaged, or not of the converter's shape
+        raise DataError(f"{path} does not parse ({type(exc).__name__}: {exc})") from exc
 
 
 def config_hash(config: dict) -> str:
     blob = json.dumps(config, sort_keys=True, ensure_ascii=False).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def _warn_if_stale(path: str | Path, header: dict, expect_hash: str | None) -> None:
+    stored = header.get("config_hash")
+    if expect_hash and stored and stored != expect_hash:
+        log.warning("config hash mismatch for %s: artifact %s, current %s", path, stored, expect_hash)
 
 
 def write_jsonl(path: str | Path, rows: Iterable, meta: dict) -> None:
@@ -74,22 +80,18 @@ def read_jsonl(path: str | Path, expect_hash: str | None = None, convert: Callab
                 continue
             raw = json.loads(line)
             if i == 0 and META_KEY in raw:
-                stored = raw[META_KEY].get("config_hash")
-                if expect_hash and stored and stored != expect_hash:
-                    log.warning(
-                        "config hash mismatch for %s: artifact %s, current %s",
-                        path, stored, expect_hash,
-                    )
+                _warn_if_stale(path, raw[META_KEY], expect_hash)
                 continue
             rows.append(raw if convert is None else convert(raw))
     return rows
 
 
 def read_meta(path: str | Path) -> dict:
-    """The meta header of a JSONL artifact, {} if it has none."""
+    """The meta header of a JSONL artifact, {} if it has none or it is not an object."""
     with _reading(path) as fh:
         first = json.loads(fh.readline() or "{}")
-    return first.get(META_KEY, {}) if isinstance(first, dict) else {}
+    meta = first.get(META_KEY) if isinstance(first, dict) else None
+    return meta if isinstance(meta, dict) else {}
 
 
 def write_json(path: str | Path, payload: dict, cfg_hash: str) -> None:
@@ -99,10 +101,9 @@ def write_json(path: str | Path, payload: dict, cfg_hash: str) -> None:
         fh.write(json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n")
 
 
-def read_json(path: str | Path, expect_hash: str | None = None) -> dict:
+def read_json(path: str | Path, expect_hash: str | None = None, convert: Callable | None = None):
+    """A JSON artifact, passed through convert. A hash mismatch warns."""
     with _reading(path) as fh:
         payload = json.load(fh)
-    stored = payload.get("config_hash")
-    if expect_hash and stored and stored != expect_hash:
-        log.warning("config hash mismatch for %s: artifact %s, current %s", path, stored, expect_hash)
-    return payload
+        _warn_if_stale(path, payload, expect_hash)
+        return payload if convert is None else convert(payload)

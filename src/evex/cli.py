@@ -27,7 +27,7 @@ import json
 import logging
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import partial
 from pathlib import Path
 
@@ -191,12 +191,6 @@ def _build_backend(cfg: RunConfig, run_dir: Path) -> ScriptedBackend:
         raise ConfigError(f"bad backend script {script_path}: {exc}") from exc
 
 
-def _read_pairs(run_dir: Path, cfg: RunConfig) -> list[TrainingPair]:
-    path = _require(run_dir / "pairs.jsonl", "preprocess")
-    rows = artifacts.read_jsonl(path, cfg.hash)
-    return [TrainingPair(r["input"], r["target"], r["task"], r["doc_id"]) for r in rows]
-
-
 def _read_candidates(run_dir: Path, cfg: RunConfig, split: str) -> list[CandidateList]:
     path = _require(run_dir / f"candidates.{split}.jsonl", f"gen-candidates on {split}")
     convert = partial(candidate_list_from_dict, codec_cfg=cfg.codec, parsed={})  # one parse memo per read
@@ -213,16 +207,15 @@ def cmd_preprocess(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> N
         cfg.hash,
     )
     artifacts.write_jsonl(
-        run_dir / "pairs.jsonl",
-        [{"input": p.input, "target": p.target, "task": p.task, "doc_id": p.doc_id} for p in pairs],
-        {"artifact": "pairs", "config_hash": cfg.hash},
+        run_dir / "pairs.jsonl", (asdict(p) for p in pairs), {"artifact": "pairs", "config_hash": cfg.hash}
     )
     log.info("preprocess: %d instances -> %d training pairs", len(instances), len(pairs))
 
 
 def cmd_gen_candidates(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> None:
     split = args.split
-    pairs = _read_pairs(run_dir, cfg)
+    pairs_path = _require(run_dir / "pairs.jsonl", "preprocess")
+    pairs = artifacts.read_jsonl(pairs_path, cfg.hash, convert=lambda row: TrainingPair(**row))
     backend = _build_backend(cfg, run_dir)
     backend.fit(pairs)
     loaded = _load_split(cfg, split)  # every split passes through here, so its load report is written here
@@ -312,11 +305,11 @@ def _scored_candidates(cfg: RunConfig, run_dir: Path, split: str) -> list[Candid
         if path.exists() and digests.items() <= artifacts.read_meta(path).items():  # both digests match
             rows = artifacts.read_jsonl(path, cfg.hash, convert=lambda row: [float(s) for s in row])
             return [cl.with_rank_scores(s) for cl, s in zip(candidate_lists, rows, strict=True)]
-    except (TypeError, ValueError, DataError) as exc:  # not JSON, or rows that do not line up with the candidates
+    except (ValueError, DataError) as exc:  # a damaged cache, or rows that do not line up with the candidates
         raise DataError(
             f"rank score cache {path} does not match candidates.{split}.jsonl ({exc}); delete it to rescore"
         ) from exc
-    scorer = HashedNgramScorer.from_dict(artifacts.read_json(model_path, cfg.hash))
+    scorer = artifacts.read_json(model_path, cfg.hash, convert=HashedNgramScorer.from_dict)
     candidate_lists = [score_candidates(cl, scorer) for cl in candidate_lists]
     meta = {"artifact": "rank_scores", "split": split, "config_hash": cfg.hash, **digests}
     artifacts.write_jsonl(path, ([c.rank_score for c in cl.candidates] for cl in candidate_lists), meta)
@@ -359,8 +352,9 @@ def cmd_predict(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> None
     tuned_path = run_dir / "tuned.json"
     # a tuning run given neither flag selects at tune's choice, once tune has run
     if cfg.selection is None and args.alpha is None and args.theta is None and tuned_path.exists():
-        tuned = artifacts.read_json(tuned_path, cfg.hash)
-        selection = SelectionConfig(alpha=tuned["alpha"], theta=tuned["theta"])
+        selection = artifacts.read_json(
+            tuned_path, cfg.hash, convert=lambda tuned: SelectionConfig(alpha=tuned["alpha"], theta=tuned["theta"])
+        )
     rows = []
     n_none_above = 0
     for cl in _scored_candidates(cfg, run_dir, split):
@@ -391,10 +385,9 @@ def cmd_predict(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> None
 def cmd_evaluate(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> None:
     split = args.split
     path = _require(run_dir / "predictions.jsonl", "predict")
-    rows = artifacts.read_jsonl(path, cfg.hash)
-    predictions = [
-        (r["doc_id"], [frame_from_dict(e) for e in r["events"]]) for r in rows
-    ]
+    predictions = artifacts.read_jsonl(
+        path, cfg.hash, convert=lambda row: (row["doc_id"], [frame_from_dict(e) for e in row["events"]])
+    )
     gold = _load_split(cfg, split).instances
     try:
         report = evaluate_corpus(predictions, gold)
@@ -502,8 +495,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         run_dir = Path(args.run_dir) if args.run_dir else cfg.path.parent
-        run_dir.mkdir(parents=True, exist_ok=True)
-        _setup_logging(run_dir)
+        try:
+            run_dir.mkdir(parents=True, exist_ok=True)
+            _setup_logging(run_dir)
+        except OSError as exc:
+            raise ConfigError(f"cannot use run dir {run_dir}: {exc}") from exc
         COMMANDS[args.command](cfg, run_dir, args)
     except (ConfigError, MissingArtifactError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)

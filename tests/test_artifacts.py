@@ -53,3 +53,11 @@ def test_read_jsonl_converts_each_row_and_still_warns(tmp_path, caplog):
     assert [r.message for r in caplog.records] == [
         f"config hash mismatch for {path}: artifact {stored}, current {'0' * 16}"
     ]
+
+
+def test_read_json_names_the_file_when_convert_does_not_fit(tmp_path):
+    path = tmp_path / "tuned.json"
+    artifacts.write_json(path, {"alpha": 0.5}, "abc")
+    with pytest.raises(artifacts.DataError) as info:
+        artifacts.read_json(path, "abc", convert=lambda raw: raw["theta"])
+    assert str(info.value) == f"{path} does not parse (KeyError: 'theta')"

@@ -381,10 +381,13 @@ def test_regenerated_candidates_rescore(tmp_path):
     assert dev_rank_scores(regenerated) == dev_scores
 
 
-@pytest.mark.parametrize("damage", ["missing_row", "short_row", "cut_mid_line", "no_header"])
+@pytest.mark.parametrize(
+    "damage", ["missing_row", "short_row", "cut_mid_line", "no_header", "meta_number", "meta_list"]
+)
 def test_damaged_rank_scores_exit_4_or_rescore(tmp_path, capsys, damage):
     """Rows out of line with the candidates under matching digests are a data
-    error; a cache with no header matches no digest, so it is scored again."""
+    error; a cache whose header is missing or not an object matches no digest,
+    so it is scored again."""
     cfg = build_demo_run(tmp_path, seed=9, noisy=True)
     assert run(["pipeline", "--config", cfg, "--run-dir", tmp_path]) == 0
     path = tmp_path / "rank_scores.test.jsonl"
@@ -395,13 +398,15 @@ def test_damaged_rank_scores_exit_4_or_rescore(tmp_path, capsys, damage):
         "short_row": "".join(lines[:-1]) + json.dumps(json.loads(lines[-1])[:-1]) + "\n",
         "cut_mid_line": written[: len(written) - len(lines[-1]) // 2],
         "no_header": "".join(lines[1:]),
+        "meta_number": '{"__meta__": 3}\n' + "".join(lines[1:]),
+        "meta_list": '{"__meta__": [1]}\n' + "".join(lines[1:]),
     }
     path.write_text(damaged[damage])
     capsys.readouterr()
     rc = run(["predict", "--config", cfg, "--run-dir", tmp_path])
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    if damage == "no_header":
+    if damage in ("no_header", "meta_number", "meta_list"):
         assert rc == 0 and path.read_text() == written
     else:
         assert rc == 4
@@ -417,25 +422,67 @@ def cut_mid_line(path: Path) -> None:
     path.write_bytes(data[:cut])
 
 
-@pytest.mark.parametrize(
-    "command, name",
-    [
-        ("predict", "selector.model"),
-        ("predict", "tuned.json"),
-        ("evaluate", "predictions.jsonl"),
-        ("gen-candidates", "pairs.jsonl"),
-    ],
-)
-def test_damaged_artifact_exits_4(tmp_path, capsys, command, name):
+def rewrite(edit, line=None):
+    """A damage that replaces a JSON artifact (or line `line` of a JSONL one) by edit(its parse)."""
+
+    def damage(path: Path) -> None:
+        if line is None:
+            path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        else:
+            lines = path.read_text().splitlines(keepends=True)
+            lines[line] = json.dumps(edit(json.loads(lines[line]))) + "\n"
+            path.write_text("".join(lines))
+
+    return damage
+
+
+def without(key):
+    return lambda raw: {k: v for k, v in raw.items() if k != key}
+
+
+# test id -> (command, artifact, damage): a file cut short, or one that parses but does not fit its reader
+DAMAGED_ARTIFACTS = {
+    "predict-selector.model": ("predict", "selector.model", cut_mid_line),
+    "predict-tuned.json": ("predict", "tuned.json", cut_mid_line),
+    "evaluate-predictions.jsonl": ("evaluate", "predictions.jsonl", cut_mid_line),
+    "gen-candidates-pairs.jsonl": ("gen-candidates", "pairs.jsonl", cut_mid_line),
+    "tuned-list": ("predict", "tuned.json", rewrite(lambda raw: [1])),
+    "tuned-alpha-5": ("predict", "tuned.json", rewrite(lambda raw: {**raw, "alpha": 5})),
+    "selector-format-x": ("predict", "selector.model", rewrite(lambda raw: {**raw, "format": "x"})),
+    "selector-no-dim": ("predict", "selector.model", rewrite(without("dim"))),
+    "selector-weight-past-dim": ("predict", "selector.model", rewrite(lambda raw: {**raw, "weights": {raw["dim"]: 1}})),
+    "predictions-row-no-events": ("evaluate", "predictions.jsonl", rewrite(without("events"), line=1)),
+    "predictions-first-line-5": ("evaluate", "predictions.jsonl", rewrite(lambda raw: 5, line=0)),
+    "predictions-meta-number": ("evaluate", "predictions.jsonl", rewrite(lambda raw: {"__meta__": 3}, line=0)),
+    "pairs-row-no-task": ("gen-candidates", "pairs.jsonl", rewrite(without("task"), line=1)),
+    "candidates-row-no-doc_id": ("predict", "candidates.test.jsonl", rewrite(without("doc_id"), line=1)),
+}
+
+
+@pytest.mark.parametrize("case", DAMAGED_ARTIFACTS)
+def test_damaged_artifact_exits_4(tmp_path, capsys, case):
+    command, name, damage = DAMAGED_ARTIFACTS[case]
     cfg = build_demo_run(tmp_path, seed=9, noisy=True)
     assert run(["pipeline", "--config", cfg, "--run-dir", tmp_path]) == 0
-    cut_mid_line(tmp_path / name)
+    damage(tmp_path / name)
     capsys.readouterr()
     flags = ["--split", "test"] if command == "gen-candidates" else []
     assert run([command, "--config", cfg, "--run-dir", tmp_path, *flags]) == 4
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert f"error: {tmp_path / name} does not parse" in err
+
+
+@pytest.mark.parametrize("where", ["existing_file", "under_a_file"])
+def test_unusable_run_dir_exits_2(tmp_path, capsys, where):
+    cfg = build_demo_run(tmp_path / "demo", seed=9)
+    (tmp_path / "file").write_text("")
+    run_dir = {"existing_file": tmp_path / "file", "under_a_file": tmp_path / "file" / "run"}[where]
+    capsys.readouterr()
+    assert run(["preprocess", "--config", cfg, "--run-dir", run_dir]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"error: cannot use run dir {run_dir}" in err
 
 
 def test_only_gen_candidates_writes_load_reports(tmp_path):
