@@ -192,9 +192,18 @@ def _build_backend(cfg: RunConfig, run_dir: Path) -> ScriptedBackend:
 
 
 def _read_candidates(run_dir: Path, cfg: RunConfig, split: str) -> list[CandidateList]:
+    """The split's candidate lists, one per doc: a file without rows or with a repeated doc_id is a data error."""
     path = _require(run_dir / f"candidates.{split}.jsonl", f"gen-candidates on {split}")
     convert = partial(candidate_list_from_dict, codec_cfg=cfg.codec, parsed={})  # one parse memo per read
-    return artifacts.read_jsonl(path, cfg.hash, convert=convert)
+    lists = artifacts.read_jsonl(path, cfg.hash, convert=convert)
+    if not lists:
+        raise DataError(f"{path} holds no candidate lists")
+    doc_ids: set[str] = set()
+    for cl in lists:
+        if cl.doc_id in doc_ids:
+            raise DataError(f"{path} repeats doc_id {cl.doc_id!r}")
+        doc_ids.add(cl.doc_id)
+    return lists
 
 
 def cmd_preprocess(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> None:

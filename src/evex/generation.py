@@ -51,6 +51,8 @@ class TriggerCandidate:
     def __post_init__(self) -> None:
         if not math.isfinite(self.beam_score):
             raise ValueError("beam score must be finite")
+        if self.rank_score is not None and not math.isfinite(self.rank_score):
+            raise ValueError("rank score must be finite")
         object.__setattr__(self, "triggers", tuple(self.triggers))
 
     def trigger_key(self) -> tuple[tuple[str, str], ...]:

@@ -8,12 +8,14 @@ Subtask keys:
 
 Matching is word-level (generated text carries no offsets): per instance,
 the correct count for a key is min(pred occurrences, gold occurrences),
-summed over keys, then micro-averaged corpus-wide.
+summed over keys, then micro-averaged corpus-wide. One function counts this
+rule, match_count_matrix; evaluate_corpus calls it with one prediction row
+per instance, the grid sweep (tuning.sweep_selection) with one row per cell,
+and both build their report from the summed counts (EvalReport.from_counts).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -44,19 +46,9 @@ def _keys(frames: list[EventFrame], subtask: str) -> list[tuple]:
     return keys
 
 
-def match_counts(
-    pred: list[EventFrame], gold: list[EventFrame], subtask: str
-) -> tuple[int, int, int]:
-    """(n_correct, n_pred, n_gold) for one instance under multiset matching."""
-    pred_keys = Counter(_keys(pred, subtask))
-    gold_keys = Counter(_keys(gold, subtask))
-    n_correct = sum(min(count, gold_keys[key]) for key, count in pred_keys.items())
-    return n_correct, sum(pred_keys.values()), sum(gold_keys.values())
-
-
 def match_count_matrix(selected: np.ndarray, frames: list[EventFrame], gold: list[EventFrame]) -> np.ndarray:
-    """match_counts of many predictions against one gold list: row r of the 0/1
-    (rows, frames) matrix `selected` predicts the frames it marks. Returns int64
+    """The multiset match of many predictions against one gold list: row r of the
+    0/1 (rows, frames) matrix `selected` predicts the frames it marks. Returns int64
     (rows, SUBTASKS, 3) counts (n_correct, n_pred, n_gold). Each subtask's keys
     are a run of columns of one (frames, keys) count matrix; the products run in
     float64, exact for these integer counts and, unlike integer matmul, on BLAS."""
@@ -102,11 +94,6 @@ class SubtaskScore:
     recall: float
     f1: float
 
-    @classmethod
-    def from_counts(cls, n_correct: int, n_pred: int, n_gold: int) -> "SubtaskScore":
-        precision, recall, f1 = f1_from_counts(n_correct, n_pred, n_gold)
-        return cls(n_gold, n_pred, n_correct, precision, recall, f1)
-
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -114,6 +101,12 @@ class EvalReport:
     trig_c: SubtaskScore
     arg_i: SubtaskScore
     arg_c: SubtaskScore
+
+    @classmethod
+    def from_counts(cls, counts: np.ndarray) -> "EvalReport":
+        """The report of (SUBTASKS, 3) counts: (n_correct, n_pred, n_gold) per subtask."""
+        rows = zip(SUBTASKS, counts.tolist())
+        return cls(**{name: SubtaskScore(g, p, c, *f1_from_counts(c, p, g)) for name, (c, p, g) in rows})
 
     def score(self, subtask: str) -> SubtaskScore:
         return {TRIG_I: self.trig_i, TRIG_C: self.trig_c, ARG_I: self.arg_i, ARG_C: self.arg_c}[
@@ -152,20 +145,8 @@ def evaluate_corpus(
             raise ValueError(f"unknown doc_id in predictions: {doc_id!r}")
         pred_by_doc.setdefault(doc_id, []).extend(frames)
 
-    totals = {name: [0, 0, 0] for name in SUBTASKS}  # correct, pred, gold
+    totals = np.zeros((len(SUBTASKS), 3), dtype=np.int64)  # correct, pred, gold per subtask
     for instance in gold:
-        pred_frames = pred_by_doc.get(instance.doc_id, [])
-        for name in SUBTASKS:
-            n_correct, n_pred, n_gold = match_counts(
-                pred_frames, list(instance.gold_frames), name
-            )
-            totals[name][0] += n_correct
-            totals[name][1] += n_pred
-            totals[name][2] += n_gold
-
-    return EvalReport(
-        **{
-            name: SubtaskScore.from_counts(*totals[name])
-            for name in SUBTASKS
-        }
-    )
+        frames = pred_by_doc.get(instance.doc_id, [])
+        totals += match_count_matrix(np.ones((1, len(frames))), frames, list(instance.gold_frames))[0]
+    return EvalReport.from_counts(totals)

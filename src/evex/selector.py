@@ -15,12 +15,15 @@ memoises each text's ids with those across the " || " junction. numpy counts
 the id streams of a context's candidates, in one batch, into feature rows
 (hashed indices and counts, in first-appearance order).
 Building rows again in every epoch would dominate training, so the scorer
-keeps a feature table of each unique pair's row it has trained on.
+keeps a feature table of each unique pair's row it has trained on. One hinge
+pass over those rows (_hinge) gives the batch loss and its subgradient;
+train_step applies it to the weights and loss_and_grad returns it as a dict.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 import zlib
 from array import array
@@ -143,7 +146,7 @@ class HashedNgramScorer:
         if any(n < 1 for n in self.word_ngrams + self.char_ngrams):
             raise ValueError("n-gram lengths must be positive")
         self.weights = np.zeros(self.dim, dtype=np.float64)
-        # (context, text) -> FeatureRow of train_step; rows never depend on the weights
+        # (context, text) -> FeatureRow of _hinge; rows never depend on the weights
         self._table: dict[tuple[str, str], FeatureRow] = {}
         self._first = np.empty(0, dtype=np.int32)
         self._reset_memos()
@@ -233,40 +236,16 @@ class HashedNgramScorer:
         """Relevance of a candidate text to its context."""
         return self.scores(context, [candidate_text])[0]
 
-    def loss_and_grad(
-        self, batch: list[ContrastiveItem], margin: float
-    ) -> tuple[float, dict[int, float]]:
-        """Batch hinge loss and its subgradient w.r.t. the weights.
+    def _hinge(self, batch: list[ContrastiveItem], margin: float) -> tuple[float, np.ndarray, np.ndarray]:
+        """Batch hinge loss and its subgradient w.r.t. the weights, as the sorted
+        hashed indices it touches and their values: the one hinge pass, under
+        loss_and_grad and train_step.
 
-        The subgradient at a hinge kink is taken as zero (the term only
-        contributes when strictly positive).
-        """
-        loss = 0.0
-        grad: dict[int, float] = {}
-        for context, positive, negatives in batch:
-            idx, cnt, cuts = self._rows(context, [positive, *negatives])
-            weights = self.weights[idx]
-            (pos_idx, pos_cnt, pos_score), *rows = [
-                (idx[s:e].tolist(), cnt[s:e].tolist(), float(weights[s:e] @ cnt[s:e])) for s, e in zip(cuts, cuts[1:])
-            ]
-            for neg_idx, neg_cnt, neg_score in rows:
-                term = margin - pos_score + neg_score
-                if term > 0.0:
-                    loss += term
-                    for i, c in zip(pos_idx, pos_cnt):
-                        grad[i] = grad.get(i, 0.0) - c
-                    for i, c in zip(neg_idx, neg_cnt):
-                        grad[i] = grad.get(i, 0.0) + c
-        return loss, grad
-
-    def train_step(self, batch: list[ContrastiveItem], margin: float, learning_rate: float) -> float:
-        """One subgradient update on the batch; returns the pre-update loss.
-
-        The loss and update of loss_and_grad, computed from feature rows (an
-        item's rows missing from the table are built in one _rows batch),
-        with scores and the loss summed in the same order as there. The
-        subgradient is a sum of integer counts, exact in any order, so it is
-        accumulated per index with bincount.
+        Scores come from feature rows (an item's rows missing from the table are
+        built in one _rows batch and kept), the loss is summed item by item, and
+        the subgradient at a hinge kink is taken as zero (a term only contributes
+        when strictly positive). The subgradient is a sum of integer counts,
+        exact in any order, so it is accumulated per index with bincount.
         """
         weights, table = self.weights, self._table
         loss = 0.0
@@ -287,9 +266,20 @@ class HashedNgramScorer:
                     loss += term
                     idx_parts += (pos_idx, neg_idx)
                     val_parts += (-pos_cnt, neg_cnt)
-        if idx_parts:
-            keys, inverse = np.unique(np.concatenate(idx_parts), return_inverse=True)
-            weights[keys] -= learning_rate * np.bincount(inverse, weights=np.concatenate(val_parts))
+        if not idx_parts:  # no active term, as in most steps once the margins hold
+            return loss, np.empty(0, np.intp), np.empty(0)
+        keys, inverse = np.unique(np.concatenate(idx_parts), return_inverse=True)
+        return loss, keys, np.bincount(inverse, weights=np.concatenate(val_parts))
+
+    def loss_and_grad(self, batch: list[ContrastiveItem], margin: float) -> tuple[float, dict[int, float]]:
+        """Batch hinge loss and its subgradient (_hinge), as index -> value."""
+        loss, keys, grad = self._hinge(batch, margin)
+        return loss, dict(zip(keys.tolist(), grad.tolist()))
+
+    def train_step(self, batch: list[ContrastiveItem], margin: float, learning_rate: float) -> float:
+        """One subgradient update on the batch (_hinge); returns the pre-update loss."""
+        loss, keys, grad = self._hinge(batch, margin)
+        self.weights[keys] -= learning_rate * grad
         return loss
 
     def to_dict(self) -> dict:
@@ -312,7 +302,10 @@ class HashedNgramScorer:
             char_ngrams=tuple(raw["char_ngrams"]),
         )
         for idx, value in raw["weights"].items():
-            scorer.weights[int(idx)] = float(value)
+            index, weight = int(idx), float(value)
+            if not 0 <= index < scorer.dim or not math.isfinite(weight):
+                raise ValueError(f"weight {idx!r}: {value!r} is not a finite number at an index in [0, {scorer.dim})")
+            scorer.weights[index] = weight
         return scorer
 
     def save(self, path: str | Path, extra: dict | None = None) -> None:

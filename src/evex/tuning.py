@@ -27,7 +27,7 @@ import numpy as np
 from .artifacts import replacing
 from .events import ContextInstance
 from .generation import CandidateList, frames_from_cache
-from .metrics import SUBTASKS, TRIG_C, EvalReport, SubtaskScore, evaluate_corpus, match_count_matrix
+from .metrics import SUBTASKS, TRIG_C, EvalReport, evaluate_corpus, match_count_matrix
 from .selector import SelectionConfig, fuse_and_select, kept_mask
 
 DEFAULT_ALPHA_GRID = tuple(round(i * 0.1, 1) for i in range(11))  # 0.0 .. 1.0
@@ -92,10 +92,7 @@ def sweep_selection(
         selected = kept @ parses.reshape(len(cands), len(triggers)) > 0  # each cell's union of triggers
         frames = frames_from_cache(candidates, triggers)
         totals += match_count_matrix(selected, frames, list(instance.gold_frames))
-    return [
-        GridCell(alpha, theta, EvalReport(**{name: SubtaskScore.from_counts(*c) for name, c in zip(SUBTASKS, row)}))
-        for (alpha, theta), row in zip(cells, totals.tolist())
-    ]
+    return [GridCell(alpha, theta, EvalReport.from_counts(row)) for (alpha, theta), row in zip(cells, totals)]
 
 
 def grid_search(

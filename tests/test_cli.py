@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import logging
+import math
 import sys
 from functools import partial
 from pathlib import Path
@@ -382,18 +383,28 @@ def test_regenerated_candidates_rescore(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "damage", ["missing_row", "short_row", "cut_mid_line", "no_header", "meta_number", "meta_list"]
+    "damage",
+    ["missing_row", "short_row", "cut_mid_line", "nan_score", "infinite_score"]
+    + ["no_header", "meta_number", "meta_list"],
 )
 def test_damaged_rank_scores_exit_4_or_rescore(tmp_path, capsys, damage):
-    """Rows out of line with the candidates under matching digests are a data
-    error; a cache whose header is missing or not an object matches no digest,
-    so it is scored again."""
+    """Rows out of line with the candidates, or holding a score that is not a
+    finite number, under matching digests are a data error; a cache whose
+    header is missing or not an object matches no digest, so it is scored again."""
     cfg = build_demo_run(tmp_path, seed=9, noisy=True)
     assert run(["pipeline", "--config", cfg, "--run-dir", tmp_path]) == 0
     path = tmp_path / "rank_scores.test.jsonl"
     written = path.read_text()
     lines = written.splitlines(keepends=True)
+    scored = next(i for i in range(1, len(lines)) if json.loads(lines[i]))  # a row with a score
+
+    def first_score(value):
+        row = json.loads(lines[scored])
+        return "".join(lines[:scored]) + json.dumps([value, *row[1:]]) + "\n" + "".join(lines[scored + 1 :])
+
     damaged = {
+        "nan_score": first_score(math.nan),
+        "infinite_score": first_score(-math.inf),
         "missing_row": "".join(lines[:-1]),
         "short_row": "".join(lines[:-1]) + json.dumps(json.loads(lines[-1])[:-1]) + "\n",
         "cut_mid_line": written[: len(written) - len(lines[-1]) // 2],
@@ -451,6 +462,9 @@ DAMAGED_ARTIFACTS = {
     "selector-format-x": ("predict", "selector.model", rewrite(lambda raw: {**raw, "format": "x"})),
     "selector-no-dim": ("predict", "selector.model", rewrite(without("dim"))),
     "selector-weight-past-dim": ("predict", "selector.model", rewrite(lambda raw: {**raw, "weights": {raw["dim"]: 1}})),
+    "selector-weight-negative-index": ("predict", "selector.model", rewrite(lambda raw: {**raw, "weights": {"-1": 1}})),
+    "selector-weight-nan": ("predict", "selector.model", rewrite(lambda raw: {**raw, "weights": {"0": math.nan}})),
+    "selector-weight-infinity": ("predict", "selector.model", rewrite(lambda raw: {**raw, "weights": {"0": math.inf}})),
     "predictions-row-no-events": ("evaluate", "predictions.jsonl", rewrite(without("events"), line=1)),
     "predictions-first-line-5": ("evaluate", "predictions.jsonl", rewrite(lambda raw: 5, line=0)),
     "predictions-meta-number": ("evaluate", "predictions.jsonl", rewrite(lambda raw: {"__meta__": 3}, line=0)),
@@ -471,6 +485,24 @@ def test_damaged_artifact_exits_4(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert f"error: {tmp_path / name} does not parse" in err
+
+
+@pytest.mark.parametrize("damage", ["repeated_doc", "no_rows"])
+@pytest.mark.parametrize("command, split", [("tune", "dev"), ("predict", "test"), ("report", "test")])
+def test_candidates_without_rows_or_with_a_repeated_doc_exit_4(tmp_path, capsys, command, split, damage):
+    """Every split gen-candidates writes holds one list per doc of a nonempty corpus."""
+    cfg = build_demo_run(tmp_path, seed=9, noisy=True)
+    assert run(["pipeline", "--config", cfg, "--run-dir", tmp_path]) == 0
+    path = tmp_path / f"candidates.{split}.jsonl"
+    header, first, *rest = path.read_text().splitlines(keepends=True)
+    path.write_text(header + (first + "".join(rest) + first if damage == "repeated_doc" else ""))
+    capsys.readouterr()
+    assert run([command, "--config", cfg, "--run-dir", tmp_path]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    doc_id = json.loads(first)["doc_id"]
+    problem = f"repeats doc_id {doc_id!r}" if damage == "repeated_doc" else "holds no candidate lists"
+    assert f"error: {path} {problem}" in err
 
 
 @pytest.mark.parametrize("where", ["existing_file", "under_a_file"])

@@ -13,7 +13,6 @@ from evex.metrics import (
     evaluate_corpus,
     f1_from_counts,
     match_count_matrix,
-    match_counts,
 )
 
 from util import oracle_corpus_counts, oracle_match, random_gold_corpus, random_pred_frames
@@ -32,31 +31,38 @@ def fig1_frames():
     return [transport, attack]
 
 
+def match(pred, gold, subtask):
+    """(n_correct, n_pred, n_gold) of one instance from the production rule, match_count_matrix
+    with one row that predicts every frame; each worked example also asks the oracle."""
+    got = tuple(match_count_matrix(np.ones((1, len(pred))), pred, gold)[0, SUBTASKS.index(subtask)].tolist())
+    assert got == oracle_match(pred, gold, subtask)
+    return got
+
+
 def test_perfect_prediction_on_two_event_example():
     frames = fig1_frames()
-    assert match_counts(frames, frames, TRIG_C) == (2, 2, 2)
-    assert match_counts(frames, frames, ARG_C) == (3, 3, 3)
+    assert match(frames, frames, TRIG_C) == (2, 2, 2)
+    assert match(frames, frames, ARG_C) == (3, 3, 3)
 
 
 def test_word_match_type_mismatch():
     pred = [EventFrame(Trigger("went", "Attack"))]
     gold = [EventFrame(Trigger("went", "Movement_Transport"))]
-    assert match_counts(pred, gold, TRIG_I) == (1, 1, 1)
-    assert match_counts(pred, gold, TRIG_C) == (0, 1, 1)
+    assert match(pred, gold, TRIG_I) == (1, 1, 1)
+    assert match(pred, gold, TRIG_C) == (0, 1, 1)
 
 
 def test_argument_identification_vs_classification():
     pred = [EventFrame(Trigger("hit", "Attack"), (ArgumentPair("Destination", "home"),))]
     gold = [EventFrame(Trigger("hit", "Attack"), (ArgumentPair("Place", "home"),))]
-    assert match_counts(pred, gold, ARG_I) == (1, 1, 1)
-    assert match_counts(pred, gold, ARG_C) == (0, 1, 1)
-    assert (match_counts(pred, gold, ARG_I)) == oracle_match(pred, gold, ARG_I)
+    assert match(pred, gold, ARG_I) == (1, 1, 1)
+    assert match(pred, gold, ARG_C) == (0, 1, 1)
 
 
 def test_multiset_matching_caps_duplicates():
     gold = [EventFrame(Trigger("fired", "Attack"))]
     pred = [EventFrame(Trigger("fired", "Attack")), EventFrame(Trigger("fired", "Attack"))]
-    n_correct, n_pred, n_gold = match_counts(pred, gold, TRIG_C)
+    n_correct, n_pred, n_gold = match(pred, gold, TRIG_C)
     assert (n_correct, n_pred, n_gold) == (1, 2, 1)
 
 
@@ -152,7 +158,7 @@ def test_permutation_invariance():
     assert evaluate_corpus(shuffled_rows, shuffled_gold).to_dict() == base
 
 
-def test_match_count_matrix_equals_match_counts_per_row():
+def test_match_count_matrix_equals_oracle_per_row():
     rng = random.Random(61)
     corpus = random_gold_corpus(rng, n=40)  # shared vocabulary: repeated keys in gold and in predictions
     predictions = random_pred_frames(rng, corpus)
@@ -164,6 +170,6 @@ def test_match_count_matrix_equals_match_counts_per_row():
         assert counts.shape == (len(selected), len(SUBTASKS), 3)
         for row, row_counts in zip(selected, counts.tolist()):
             chosen = [frame for frame, keep in zip(frames, row) if keep]
-            assert row_counts == [list(match_counts(chosen, gold, name)) for name in SUBTASKS]
+            assert row_counts == [list(oracle_match(chosen, gold, name)) for name in SUBTASKS]
     # no frames, no gold
     assert match_count_matrix(np.zeros((2, 0), dtype=bool), [], []).tolist() == [[[0, 0, 0]] * 4] * 2

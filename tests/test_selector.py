@@ -383,10 +383,23 @@ def test_train_selector_loss_decreases_on_separable_data():
 
 
 class DictUpdateScorer(HashedNgramScorer):
-    """The reference update: loss_and_grad's dict, applied index by index."""
+    """The reference update, apart from the scorer's rows and hinge pass: whole-pair
+    features (reference_features), a dict subgradient, applied index by index."""
 
     def train_step(self, batch, margin, learning_rate):
-        loss, grad = self.loss_and_grad(batch, margin)
+        loss, grad = 0.0, {}
+        for context, positive, negatives in batch:
+            pos = reference_features(self, context, positive)
+            pos_score = reference_score(self, pos)
+            for negative in negatives:
+                neg = reference_features(self, context, negative)
+                term = margin - pos_score + reference_score(self, neg)
+                if term > 0.0:
+                    loss += term
+                    for idx, count in pos.items():
+                        grad[idx] = grad.get(idx, 0.0) - count
+                    for idx, count in neg.items():
+                        grad[idx] = grad.get(idx, 0.0) + count
         for idx, val in grad.items():
             self.weights[idx] -= learning_rate * val
         return loss
