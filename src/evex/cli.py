@@ -228,10 +228,11 @@ def cmd_gen_candidates(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) 
     backend = _build_backend(cfg, run_dir)
     backend.fit(pairs)
     loaded = _load_split(cfg, split)  # every split passes through here, so its load report is written here
-    report = {"path": str(cfg.corpus_path(split)), **loaded.to_dict()}
+    report = {"path": cfg.corpus[split], **loaded.to_dict()}  # as the config writes it, wherever the run lies
     artifacts.write_json(run_dir / f"load_report.{split}.json", report, cfg.hash)
     if loaded.problems:
-        log.warning("%s: %d load problem(s), see load_report.%s.json", report["path"], len(loaded.problems), split)
+        path = cfg.corpus_path(split)
+        log.warning("%s: %d load problem(s), see load_report.%s.json", path, len(loaded.problems), split)
     lists: list[CandidateList] = []
     warning_kinds: Counter[str] = Counter()
     for instance in loaded.instances:
@@ -349,21 +350,22 @@ def cmd_tune(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> None:
     log.info("tune: best %s F1 %.4f at alpha=%g theta=%g", result.metric, best_f1, result.alpha, result.theta)
 
 
-def _resolve_selection(cfg: RunConfig, args: argparse.Namespace) -> SelectionConfig:
-    """--alpha/--theta over the config's selection, or over the library defaults when tuning."""
+def _resolve_selection(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> SelectionConfig:
+    """The selection in effect: the config's explicit one; in tune mode tune's choice (tuned.json)
+    once tune has run, else the library defaults. --alpha and --theta each override their own value."""
+    base = cfg.selection
+    tuned_path = run_dir / "tuned.json"
+    if base is None and tuned_path.exists():
+        base = artifacts.read_json(
+            tuned_path, cfg.hash, convert=lambda tuned: SelectionConfig(alpha=tuned["alpha"], theta=tuned["theta"])
+        )
     flags = {name: value for name in ("alpha", "theta") if (value := getattr(args, name)) is not None}
-    return replace(cfg.selection or SelectionConfig(), **flags)
+    return replace(base or SelectionConfig(), **flags)
 
 
 def cmd_predict(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> None:
     split = args.split
-    selection = _resolve_selection(cfg, args)
-    tuned_path = run_dir / "tuned.json"
-    # a tuning run given neither flag selects at tune's choice, once tune has run
-    if cfg.selection is None and args.alpha is None and args.theta is None and tuned_path.exists():
-        selection = artifacts.read_json(
-            tuned_path, cfg.hash, convert=lambda tuned: SelectionConfig(alpha=tuned["alpha"], theta=tuned["theta"])
-        )
+    selection = _resolve_selection(cfg, run_dir, args)
     rows = []
     n_none_above = 0
     for cl in _scored_candidates(cfg, run_dir, split):
@@ -401,7 +403,7 @@ def cmd_evaluate(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> Non
     try:
         report = evaluate_corpus(predictions, gold)
     except ValueError as exc:
-        raise DataError(str(exc)) from exc
+        raise DataError(f"{path}: {exc}") from exc
     artifacts.write_json(run_dir / "report.json", {"split": split, **report.to_dict()}, cfg.hash)
     print(report.summary())
 
@@ -409,7 +411,7 @@ def cmd_evaluate(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> Non
 def cmd_report(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> None:
     split = args.split
     paired = _with_gold(cfg, split, _scored_candidates(cfg, run_dir, split))
-    base = _resolve_selection(cfg, args)
+    base = _resolve_selection(cfg, run_dir, args)
     theta_pairs = [(base.alpha, t) for t in sorted(cfg.theta_grid)]
     cells = sweep_selection(paired, theta_pairs + [(a, base.theta) for a in sorted(cfg.alpha_grid)])
     theta_cells, alpha_cells = cells[: len(theta_pairs)], cells[len(theta_pairs) :]

@@ -9,9 +9,9 @@ Subtask keys:
 Matching is word-level (generated text carries no offsets): per instance,
 the correct count for a key is min(pred occurrences, gold occurrences),
 summed over keys, then micro-averaged corpus-wide. One function counts this
-rule, match_count_matrix; evaluate_corpus calls it with one prediction row
-per instance, the grid sweep (tuning.sweep_selection) with one row per cell,
-and both build their report from the summed counts (EvalReport.from_counts).
+rule over a list of docs, match_count_matrix: evaluate_corpus calls it once per
+corpus with one prediction row, the grid sweep (tuning.sweep_selection) once per
+doc with one row per cell; both report the summed counts (EvalReport.from_counts).
 """
 
 from __future__ import annotations
@@ -29,48 +29,37 @@ ARG_C = "arg_c"
 SUBTASKS = (TRIG_I, TRIG_C, ARG_I, ARG_C)
 
 
-def _keys(frames: list[EventFrame], subtask: str) -> list[tuple]:
-    keys: list[tuple] = []
-    for frame in frames:
-        trigger = frame.trigger
-        if subtask == TRIG_I:
-            keys.append((trigger.word,))
-        elif subtask == TRIG_C:
-            keys.append((trigger.word, trigger.event_type))
-        elif subtask == ARG_I:
-            keys.extend((p.entity, trigger.event_type) for p in frame.arguments)
-        elif subtask == ARG_C:
-            keys.extend((p.entity, p.role, trigger.event_type) for p in frame.arguments)
-        else:
-            raise ValueError(f"unknown subtask: {subtask!r}")
-    return keys
+def _frame_keys(frame: EventFrame) -> list[tuple]:
+    """Every (subtask index, key) of one frame."""
+    word, event_type = frame.trigger.word, frame.trigger.event_type
+    return [(0, (word,)), (1, (word, event_type))] + [
+        key for p in frame.arguments for key in ((2, (p.entity, event_type)), (3, (p.entity, p.role, event_type)))
+    ]
 
 
-def match_count_matrix(selected: np.ndarray, frames: list[EventFrame], gold: list[EventFrame]) -> np.ndarray:
-    """The multiset match of many predictions against one gold list: row r of the
-    0/1 (rows, frames) matrix `selected` predicts the frames it marks. Returns int64
-    (rows, SUBTASKS, 3) counts (n_correct, n_pred, n_gold). Each subtask's keys
-    are a run of columns of one (frames, keys) count matrix; the products run in
-    float64, exact for these integer counts and, unlike integer matmul, on BLAS."""
-    columns: dict[tuple, int] = {}  # (subtask index, key) -> column
-    cells, gold_cols, widths, n_gold = [], [], [], []  # cells: (frame, column) per key occurrence
-    for k, subtask in enumerate(SUBTASKS):
-        start = len(columns)
-        for t, frame in enumerate(frames):
-            cells += [(t, columns.setdefault((k, key), len(columns))) for key in _keys([frame], subtask)]
-        gold_keys = _keys(gold, subtask)
-        gold_cols += [columns.setdefault((k, key), len(columns)) for key in gold_keys]
-        widths.append(len(columns) - start)
-        n_gold.append(len(gold_keys))
-    rows, cols = np.array(cells, dtype=np.intp).reshape(-1, 2).T
-    counts = np.bincount(rows * len(columns) + cols, minlength=len(frames) * len(columns)).astype(np.float64)
-    counts = counts.reshape(len(frames), len(columns))
-    gold_counts = np.bincount(np.array(gold_cols, dtype=np.intp), minlength=len(columns))
-    by_subtask = np.repeat(np.eye(len(SUBTASKS)), widths, axis=0)  # (keys, SUBTASKS) 0/1
-    out = np.empty((len(selected), len(SUBTASKS), 3), dtype=np.int64)
-    out[..., 0] = np.minimum(selected @ counts, gold_counts) @ by_subtask
-    out[..., 1] = selected @ (counts @ by_subtask)
-    out[..., 2] = n_gold
+def match_count_matrix(selected: np.ndarray, docs: list[tuple]) -> np.ndarray:
+    """The multiset match of many predictions over docs, (frames, gold frames) pairs: row r
+    of the 0/1 (rows, frames of all docs in doc order) matrix `selected` predicts the frames it
+    marks. Returns int64 (rows, SUBTASKS, 3) counts (n_correct, n_pred, n_gold) summed over the
+    docs. Each doc owns its key columns, so keys match only within their doc. Sums are float64."""
+    subtask_of, cells, gold_cols = [], [], []  # per column; (frame, column) per predicted key; per gold key
+    t = -1  # the last frame index used: frames are numbered across docs, as the columns of `selected`
+    for frames, gold in docs:
+        columns: dict[tuple, int] = {}  # the doc's (subtask index, key) -> column
+        for t, frame in enumerate(frames, t + 1):
+            cells += [(t, columns.setdefault(key, len(subtask_of) + len(columns))) for key in _frame_keys(frame)]
+        gold_cols += [columns.setdefault(key, len(subtask_of) + len(columns)) for f in gold for key in _frame_keys(f)]
+        subtask_of += [k for k, _ in columns]
+    frame_of, column_of = np.array(cells, dtype=np.intp).reshape(-1, 2).T
+    n_rows, n_cols = len(selected), len(subtask_of)
+    slots = (np.arange(n_rows)[:, None] * n_cols + column_of).ravel()  # one bincount slot per (row, column)
+    pred = np.bincount(slots, selected[:, frame_of].ravel(), n_rows * n_cols).reshape(n_rows, n_cols)
+    gold_counts = np.bincount(np.array(gold_cols, dtype=np.intp), minlength=n_cols)
+    by_subtask = np.eye(len(SUBTASKS))[np.array(subtask_of, dtype=np.intp)]  # (columns, SUBTASKS) 0/1
+    out = np.empty((n_rows, len(SUBTASKS), 3), dtype=np.int64)
+    out[..., 0] = np.minimum(pred, gold_counts) @ by_subtask
+    out[..., 1] = pred @ by_subtask
+    out[..., 2] = gold_counts @ by_subtask
     return out
 
 
@@ -132,21 +121,20 @@ def evaluate_corpus(
     predictions: list[tuple[str, list[EventFrame]]],
     gold: list[ContextInstance],
 ) -> EvalReport:
-    """Micro-averaged scores over a corpus.
+    """Micro-averaged scores over a corpus, counted in one match_count_matrix call.
 
-    Predictions are (doc_id, frames) rows; several rows for one doc_id are
-    concatenated. Gold instances without a prediction row count as empty
-    predictions; a prediction doc_id absent from gold is an error.
+    Predictions are (doc_id, frames) rows, at most one per doc_id. Gold
+    instances without a prediction row count as empty predictions; a
+    prediction doc_id absent from gold, or repeated, is an error.
     """
     gold_ids = {instance.doc_id for instance in gold}
     pred_by_doc: dict[str, list[EventFrame]] = {}
     for doc_id, frames in predictions:
         if doc_id not in gold_ids:
             raise ValueError(f"unknown doc_id in predictions: {doc_id!r}")
-        pred_by_doc.setdefault(doc_id, []).extend(frames)
-
-    totals = np.zeros((len(SUBTASKS), 3), dtype=np.int64)  # correct, pred, gold per subtask
-    for instance in gold:
-        frames = pred_by_doc.get(instance.doc_id, [])
-        totals += match_count_matrix(np.ones((1, len(frames))), frames, list(instance.gold_frames))[0]
-    return EvalReport.from_counts(totals)
+        if doc_id in pred_by_doc:
+            raise ValueError(f"repeated doc_id in predictions: {doc_id!r}")
+        pred_by_doc[doc_id] = frames
+    docs = [(pred_by_doc.get(instance.doc_id, []), instance.gold_frames) for instance in gold]
+    n_frames = sum(len(frames) for frames, _ in docs)
+    return EvalReport.from_counts(match_count_matrix(np.ones((1, n_frames)), docs)[0])

@@ -8,9 +8,10 @@ scores for the column of the cells' alphas and compares them with the column
 of their thetas: a (cells, candidates) kept matrix. Its product with the
 (candidates, triggers) parse matrix, > 0, is each cell's union of selected
 triggers; the frames of the doc's distinct triggers are counted for all cells
-at once (metrics.match_count_matrix) and added into the integer totals. The
-reports equal those of evaluate_selection, the per-cell reference. Ties break
-toward the smaller threshold, then the smaller weight.
+in one metrics.match_count_matrix call per doc and added into the integer
+totals (one call per split would hold a (cells, key occurrences) weight array
+of megabytes). The reports equal those of evaluate_selection, the per-cell
+reference. Ties break toward the smaller threshold, then the smaller weight.
 
 The settings rule (checked_grids) is applied by grid_search and at config load.
 """
@@ -74,8 +75,8 @@ def sweep_selection(
     """One GridCell per (alpha, theta) in cells, in their order; each report
     equals evaluate_selection(dev, SelectionConfig(alpha, theta)).
 
-    Doc ids must be unique (load_corpus skips repeats): counts are kept per
-    doc, while evaluate_corpus would pool the frames of docs sharing an id.
+    Doc ids must be unique (load_corpus skips repeats), as evaluate_corpus
+    requires of its prediction rows.
     """
     alpha_column, theta_column = np.array(cells, dtype=np.float64).reshape(-1, 2).T[:, :, None]
     # correct/pred/gold counts per (cell, subtask)
@@ -91,7 +92,7 @@ def sweep_selection(
         parses = np.array([[t in c.triggers for t in triggers] for c in cands], dtype=np.float64)
         selected = kept @ parses.reshape(len(cands), len(triggers)) > 0  # each cell's union of triggers
         frames = frames_from_cache(candidates, triggers)
-        totals += match_count_matrix(selected, frames, list(instance.gold_frames))
+        totals += match_count_matrix(selected, [(frames, instance.gold_frames)])
     return [GridCell(alpha, theta, EvalReport.from_counts(row)) for (alpha, theta), row in zip(cells, totals)]
 
 

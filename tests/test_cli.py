@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from evex.artifacts import read_jsonl
+from evex.artifacts import read_json, read_jsonl
 from evex.cli import build_parser, load_config, main
 from evex.codec import CodecConfig, build_trigger_prompt, encode_trigger_target
 from evex.corpus import load_corpus
@@ -249,21 +249,27 @@ def kept_parses(candidates, alpha: float, theta: float) -> list:
 
 
 @pytest.mark.parametrize(
-    "flags, joined",
-    [([], False), (["--alpha", 0.7, "--theta", 0.3], False), ([], True)],
-    ids=["flags0", "flags1", "joined_triggers"],
+    "overrides, joined",
+    [({}, False), ({"alpha": 0.7, "theta": 0.3}, False), ({}, True), ({"alpha": 0.9}, False), ({"theta": 0.3}, False)],
+    ids=["flags0", "flags1", "joined_triggers", "alpha_flag", "theta_flag"],
 )
-def test_report_sweeps_equal_per_cell_evaluation(tmp_path, flags, joined):
+def test_report_sweeps_equal_per_cell_evaluation(tmp_path, overrides, joined):
     rd = tmp_path / "run"
     cfg_path = build_demo_run(rd, seed=9, noisy=True)
     if joined:
         assert add_joined_hypotheses(rd, seed=9) > 0
     assert run(["pipeline", "--config", cfg_path, "--run-dir", rd]) == 0
+    flags = [item for name, value in overrides.items() for item in (f"--{name}", value)]
     assert run(["report", "--config", cfg_path, "--run-dir", rd, "--split", "test", *flags]) == 0
     cfg = load_config(str(cfg_path))
     instances = {i.doc_id: i for i in load_corpus(rd / "corpus.test.jsonl").instances}
     paired = [(instances[cl.doc_id], cl) for cl in scored_lists(rd, "test")]
-    alpha, theta = (0.7, 0.3) if flags else (0.4, 0.2)  # the flags, else the library defaults
+    # the base is tune's choice, not the library defaults (0.4, 0.2); each flag overrides its own value
+    tuned = json.loads((rd / "tuned.json").read_text())
+    assert (tuned["alpha"], tuned["theta"]) != (0.4, 0.2)
+    if len(overrides) == 1:
+        assert all(tuned[name] != value for name, value in overrides.items())
+    alpha, theta = overrides.get("alpha", tuned["alpha"]), overrides.get("theta", tuned["theta"])
     sweeps = {
         "theta_sweep.csv": [(alpha, t) for t in sorted(cfg.theta_grid)],
         "alpha_sweep.csv": [(a, theta) for a in sorted(cfg.alpha_grid)],
@@ -298,6 +304,18 @@ def test_predict_cli_overrides(tmp_path):
     ) == 0
     meta = json.loads((tmp_path / "predictions.jsonl").read_text().splitlines()[0])["__meta__"]
     assert (meta["alpha"], meta["theta"]) == (0.9, 0.45)
+
+
+@pytest.mark.parametrize("flag, value", [("alpha", 0.9), ("theta", 0.3)])
+def test_predict_flag_overrides_only_its_own_value_of_the_tuned_selection(tmp_path, flag, value):
+    cfg_path = build_demo_run(tmp_path, seed=7, noisy=True)
+    assert run(["pipeline", "--config", cfg_path, "--run-dir", tmp_path]) == 0
+    tuned = json.loads((tmp_path / "tuned.json").read_text())
+    assert (tuned["alpha"], tuned["theta"]) == (0.8, 0.3)  # not the library defaults (0.4, 0.2)
+    assert run(["predict", "--config", cfg_path, "--run-dir", tmp_path, f"--{flag}", value]) == 0
+    meta = json.loads((tmp_path / "predictions.jsonl").read_text().splitlines()[0])["__meta__"]
+    expected = {**tuned, flag: value}
+    assert (meta["alpha"], meta["theta"]) == (expected["alpha"], expected["theta"])
 
 
 def no_candidate_above_theta(run_dir: Path) -> int:
@@ -505,6 +523,19 @@ def test_candidates_without_rows_or_with_a_repeated_doc_exit_4(tmp_path, capsys,
     assert f"error: {path} {problem}" in err
 
 
+def test_predictions_with_a_repeated_doc_exit_4(tmp_path, capsys):
+    cfg = build_demo_run(tmp_path, seed=9, noisy=True)
+    assert run(["pipeline", "--config", cfg, "--run-dir", tmp_path]) == 0
+    path = tmp_path / "predictions.jsonl"
+    header, first, *rest = path.read_text().splitlines(keepends=True)
+    path.write_text(header + first + "".join(rest) + first)
+    capsys.readouterr()
+    assert run(["evaluate", "--config", cfg, "--run-dir", tmp_path]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"error: {path}: repeated doc_id in predictions: {json.loads(first)['doc_id']!r}" in err
+
+
 @pytest.mark.parametrize("where", ["existing_file", "under_a_file"])
 def test_unusable_run_dir_exits_2(tmp_path, capsys, where):
     cfg = build_demo_run(tmp_path / "demo", seed=9)
@@ -528,6 +559,21 @@ def test_only_gen_candidates_writes_load_reports(tmp_path):
     for command in ("train-selector", "tune", "predict", "evaluate", "report"):
         assert run([command, "--config", cfg, "--run-dir", tmp_path]) == 0
     assert not list(tmp_path.glob("load_report.*"))
+
+
+def test_load_reports_do_not_depend_on_where_the_run_lies(tmp_path, capsys):
+    """A load report stores the corpus path as the config writes it; the log names the resolved path."""
+    run_dirs = [tmp_path / "a", tmp_path / "a_run_directory_with_a_longer_path"]
+    for rd in run_dirs:
+        cfg = build_demo_run(rd, seed=9, noisy=True)
+        with open(rd / "corpus.test.jsonl", "a", encoding="utf-8") as fh:
+            fh.write("{not json\n")
+        assert run(["preprocess", "--config", cfg, "--run-dir", rd]) == 0
+        assert run(["gen-candidates", "--config", cfg, "--run-dir", rd, "--split", "test"]) == 0
+        assert f"{rd / 'corpus.test.jsonl'}: 1 load problem(s)" in capsys.readouterr().err
+    reports = [(rd / "load_report.test.json").read_bytes() for rd in run_dirs]
+    assert reports[0] == reports[1]
+    assert read_json(run_dirs[0] / "load_report.test.json")["path"] == "corpus.test.jsonl"
 
 
 def artifact_hashes(run_dir: Path) -> dict:

@@ -34,7 +34,7 @@ def fig1_frames():
 def match(pred, gold, subtask):
     """(n_correct, n_pred, n_gold) of one instance from the production rule, match_count_matrix
     with one row that predicts every frame; each worked example also asks the oracle."""
-    got = tuple(match_count_matrix(np.ones((1, len(pred))), pred, gold)[0, SUBTASKS.index(subtask)].tolist())
+    got = tuple(match_count_matrix(np.ones((1, len(pred))), [(pred, gold)])[0, SUBTASKS.index(subtask)].tolist())
     assert got == oracle_match(pred, gold, subtask)
     return got
 
@@ -109,7 +109,7 @@ def test_unknown_doc_id_raises():
         evaluate_corpus([("ghost", [])], gold)
 
 
-def test_duplicate_prediction_rows_concatenate():
+def test_repeated_prediction_doc_id_raises():
     gold = [
         ContextInstance(
             "d1", "x fired y", (EventFrame(Trigger("fired", "Attack")), EventFrame(Trigger("x", "B")))
@@ -119,8 +119,8 @@ def test_duplicate_prediction_rows_concatenate():
         ("d1", [EventFrame(Trigger("fired", "Attack"))]),
         ("d1", [EventFrame(Trigger("x", "B"))]),
     ]
-    report = evaluate_corpus(rows, gold)
-    assert report.trig_c.n_pred == 2 and report.trig_c.n_correct == 2
+    with pytest.raises(ValueError, match="repeated doc_id in predictions: 'd1'"):
+        evaluate_corpus(rows, gold)
 
 
 def test_corpus_evaluation_matches_bruteforce_oracle():
@@ -166,10 +166,46 @@ def test_match_count_matrix_equals_oracle_per_row():
         gold = list(instance.gold_frames)
         frames = predictions[instance.doc_id] + [f for i in corpus[:3] for f in i.gold_frames]
         selected = np.array([[rng.random() < 0.5 for _ in frames] for _ in range(rng.randint(1, 6))], dtype=bool)
-        counts = match_count_matrix(selected, frames, gold)
+        counts = match_count_matrix(selected, [(frames, gold)])
         assert counts.shape == (len(selected), len(SUBTASKS), 3)
         for row, row_counts in zip(selected, counts.tolist()):
             chosen = [frame for frame, keep in zip(frames, row) if keep]
             assert row_counts == [list(oracle_match(chosen, gold, name)) for name in SUBTASKS]
-    # no frames, no gold
-    assert match_count_matrix(np.zeros((2, 0), dtype=bool), [], []).tolist() == [[[0, 0, 0]] * 4] * 2
+    # no docs; one doc with no frames and no gold
+    assert match_count_matrix(np.zeros((2, 0), dtype=bool), []).tolist() == [[[0, 0, 0]] * 4] * 2
+    assert match_count_matrix(np.zeros((2, 0), dtype=bool), [([], [])]).tolist() == [[[0, 0, 0]] * 4] * 2
+
+
+def test_match_count_matrix_over_many_docs_equals_oracle_sum_per_row():
+    """One call over several docs: each row's counts are the sum over docs of the oracle's.
+    Keys equal across docs (a shared vocabulary, other docs' gold frames among the
+    predictions) must not match, and each row's counts must stay its own."""
+    rng = random.Random(62)
+    for _ in range(30):
+        corpus = random_gold_corpus(rng, n=rng.randint(2, 8))
+        predictions = random_pred_frames(rng, corpus)
+        docs = [
+            (predictions[i.doc_id] + list(rng.choice(corpus).gold_frames), list(i.gold_frames)) for i in corpus
+        ]
+        n_frames = sum(len(frames) for frames, _ in docs)
+        selected = np.array([[rng.random() < 0.5 for _ in range(n_frames)] for _ in range(rng.randint(2, 6))])
+        counts = match_count_matrix(selected, docs)
+        for row, row_counts in zip(selected.tolist(), counts.tolist()):
+            expected = np.zeros((len(SUBTASKS), 3), dtype=np.int64)
+            start = 0
+            for frames, gold in docs:
+                chosen = [frame for frame, keep in zip(frames, row[start : start + len(frames)]) if keep]
+                expected += [oracle_match(chosen, gold, name) for name in SUBTASKS]
+                start += len(frames)
+            assert row_counts == expected.tolist()
+
+
+def test_a_frame_matches_only_the_gold_of_its_own_doc():
+    """Doc A predicts doc B's gold frame and doc B predicts nothing: no frame is correct."""
+    attack = EventFrame(Trigger("fired", "Attack"), (ArgumentPair("Target", "troops"),))
+    docs = [([attack], []), ([], [attack])]  # (predicted frames, gold frames) of docs A and B
+    counts = match_count_matrix(np.ones((1, 1)), docs)[0]
+    assert counts.tolist() == [[0, 1, 1]] * 4
+    gold = [ContextInstance("a", "guns fired at troops", ()), ContextInstance("b", "guns fired at troops", (attack,))]
+    report = evaluate_corpus([("a", [attack])], gold)
+    assert [(report.score(name).n_correct, report.score(name).n_pred) for name in SUBTASKS] == [(0, 1)] * 4
