@@ -10,7 +10,8 @@ Stages read and write a run directory:
     rank_scores.{split}.jsonl rank-score cache, keyed by the selector.model and
                               candidates file digests
     selector.model            rank scorer parameters + training trace
-    tuning.csv / tuned.json   grid-search table and chosen (alpha, theta)
+    tuning.csv / tuned.json   grid-search table and chosen (alpha, theta), keyed by
+                              the selector.model digest
     predictions.jsonl         final frames per doc
     report.json               the four-subtask evaluation
     theta_sweep.csv           threshold ablation at the base weight
@@ -80,7 +81,8 @@ SPLITS = ("train", "dev", "test")
 SECTIONS = ("corpus", "backend", "codec", "generation", "selector_train", "scorer", "pairs", "selection", "tuning")
 # the one backend id: a ScriptedBackend
 BACKEND_ID = "toy"
-# rank_scores meta keys: sha256 of the selector.model and candidates file bytes the scores came from
+# rank_scores meta keys: sha256 of the selector.model and candidates file bytes the scores came from;
+# tuned.json records the selector.model one too
 MODEL_DIGEST_KEY = "selector_sha256"
 CANDIDATES_DIGEST_KEY = "candidates_sha256"
 
@@ -297,6 +299,11 @@ def cmd_train_selector(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) 
     )
 
 
+def _model_digest(run_dir: Path) -> str:
+    """The sha256 of the selector.model bytes, which keys the rank scores and the tuned selection made with it."""
+    return hashlib.sha256(_require(run_dir / "selector.model", "train-selector").read_bytes()).hexdigest()
+
+
 def _scored_candidates(cfg: RunConfig, run_dir: Path, split: str) -> list[CandidateList]:
     """Candidates of a split with rank scores from the current selector.
 
@@ -305,9 +312,8 @@ def _scored_candidates(cfg: RunConfig, run_dir: Path, split: str) -> list[Candid
     candidates file bytes: a retrained selector or regenerated candidates rescore.
     """
     candidate_lists = _read_candidates(run_dir, cfg, split)
-    model_path = _require(run_dir / "selector.model", "train-selector")
     digests = {
-        MODEL_DIGEST_KEY: hashlib.sha256(model_path.read_bytes()).hexdigest(),
+        MODEL_DIGEST_KEY: _model_digest(run_dir),
         CANDIDATES_DIGEST_KEY: hashlib.sha256((run_dir / f"candidates.{split}.jsonl").read_bytes()).hexdigest(),
     }
     path = run_dir / f"rank_scores.{split}.jsonl"
@@ -319,7 +325,7 @@ def _scored_candidates(cfg: RunConfig, run_dir: Path, split: str) -> list[Candid
         raise DataError(
             f"rank score cache {path} does not match candidates.{split}.jsonl ({exc}); delete it to rescore"
         ) from exc
-    scorer = artifacts.read_json(model_path, cfg.hash, convert=HashedNgramScorer.from_dict)
+    scorer = artifacts.read_json(run_dir / "selector.model", cfg.hash, convert=HashedNgramScorer.from_dict)
     candidate_lists = [score_candidates(cl, scorer) for cl in candidate_lists]
     meta = {"artifact": "rank_scores", "split": split, "config_hash": cfg.hash, **digests}
     artifacts.write_jsonl(path, ([c.rank_score for c in cl.candidates] for cl in candidate_lists), meta)
@@ -342,33 +348,36 @@ def cmd_tune(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> None:
     result = grid_search(dev, cfg.alpha_grid, cfg.theta_grid, cfg.metric)
     best_f1 = result.best_report().score(result.metric).f1
     write_score_table(result.table, run_dir / "tuning.csv", comment=f"config_hash={cfg.hash}")
-    artifacts.write_json(
-        run_dir / "tuned.json",
-        {"alpha": result.alpha, "theta": result.theta, "metric": result.metric, "best_f1": best_f1},
-        cfg.hash,
-    )
+    tuned = {"alpha": result.alpha, "theta": result.theta, "metric": result.metric, "best_f1": best_f1}
+    artifacts.write_json(run_dir / "tuned.json", {**tuned, MODEL_DIGEST_KEY: _model_digest(run_dir)}, cfg.hash)
     log.info("tune: best %s F1 %.4f at alpha=%g theta=%g", result.metric, best_f1, result.alpha, result.theta)
 
 
 def _resolve_selection(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> SelectionConfig:
     """The selection in effect: the config's explicit one; in tune mode tune's choice (tuned.json)
-    once tune has run, else the library defaults. --alpha and --theta each override their own value."""
+    once tune has run, else the library defaults. --alpha and --theta each override their own value.
+    A tuned value still in effect must come from the current selector.model, else tune must run again."""
     base = cfg.selection
     tuned_path = run_dir / "tuned.json"
-    if base is None and tuned_path.exists():
-        base = artifacts.read_json(
-            tuned_path, cfg.hash, convert=lambda tuned: SelectionConfig(alpha=tuned["alpha"], theta=tuned["theta"])
-        )
     flags = {name: value for name in ("alpha", "theta") if (value := getattr(args, name)) is not None}
+    if base is None and tuned_path.exists():
+        base, digest = artifacts.read_json(
+            tuned_path,
+            cfg.hash,
+            convert=lambda tuned: (SelectionConfig(tuned["alpha"], tuned["theta"]), tuned.get(MODEL_DIGEST_KEY)),
+        )
+        if len(flags) < 2 and digest != _model_digest(run_dir):
+            raise MissingArtifactError(f"{tuned_path.name} was not tuned on the current selector.model: run tune first")
     return replace(base or SelectionConfig(), **flags)
 
 
 def cmd_predict(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> None:
     split = args.split
+    scored = _scored_candidates(cfg, run_dir, split)  # first: a damaged selector.model is exit 4, not a stale tune
     selection = _resolve_selection(cfg, run_dir, args)
     rows = []
     n_none_above = 0
-    for cl in _scored_candidates(cfg, run_dir, split):
+    for cl in scored:
         triggers = fuse_and_select(cl, scorer=None, cfg=selection)
         frames = frames_from_cache(cl, triggers)
         rows.append({"doc_id": cl.doc_id, "events": [frame_to_dict(f) for f in frames]})
@@ -399,6 +408,9 @@ def cmd_evaluate(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> Non
     predictions = artifacts.read_jsonl(
         path, cfg.hash, convert=lambda row: (row["doc_id"], [frame_from_dict(e) for e in row["events"]])
     )
+    predicted = artifacts.read_meta(path).get("split")
+    if predicted != split:
+        raise DataError(f"{path} holds predictions for split {predicted!r}, not {split!r}: run predict --split {split}")
     gold = _load_split(cfg, split).instances
     try:
         report = evaluate_corpus(predictions, gold)

@@ -10,10 +10,10 @@ The reference scorer is a linear model over hashed character and word n-gram
 counts of "context || candidate", trained by stochastic subgradient descent.
 Most of a pair's n-grams lie in the shared "context ||" prefix, and the
 candidate texts and n-grams of a corpus repeat, so the scorer hashes each
-distinct n-gram once into a dense id, keeps a context's prefix ids, and
-memoises each text's ids with those across the " || " junction. numpy counts
-the id streams of a context's candidates, in one batch, into feature rows
-(hashed indices and counts, in first-appearance order).
+distinct n-gram once into a dense id, looks up a context's prefix ids once per
+batch, and memoises each text's ids with those across the " || " junction.
+numpy counts the id streams of a context's candidates, in one pass, into
+feature rows (hashed indices and counts, in first-appearance order).
 Building rows again in every epoch would dominate training, so the scorer
 keeps a feature table of each unique pair's row it has trained on. One hinge
 pass over those rows (_hinge) gives the batch loss and its subgradient;
@@ -107,30 +107,29 @@ class HashedNgramScorer:
     The pair is normalised as casefold plus whitespace collapse. Both act on
     each character alone, so the normalised pair is the normalised prefix
     "context ||", a space, and the normalised candidate. Every n-gram of it
-    lies inside the prefix, inside the candidate, or across the junction
-    (at most n - 1 word n-grams, n char n-grams, per family), which reaches
-    only the prefix's tail: its last max(word_ngrams) - 1 tokens and
+    lies inside the prefix, inside the candidate, or across the junction (at
+    most n - 1 word n-grams, n char n-grams, per family), which reaches only
+    the prefix's tail: its last max(word_ngrams) - 1 tokens and
     max(char_ngrams) - 1 chars, "||" / " ||" at the default lengths. Each
     family memoises n-gram -> dense id (_GramIds), so a distinct n-gram is
-    hashed once; so are a context's prefix ids while its candidates are
-    scored, and each text's ids per (tail, text): those of the text placed
-    behind the tail, junction n-grams included (_ids enumerates both sides).
-    Ids depend on dim and the n-gram lengths, never on the weights. All
-    memos share one cap, MEMO_SIZE entries, and are emptied together.
+    hashed once, and each text's ids are memoised per (tail, text): those of
+    the text placed behind the tail, junction n-grams included (_ids
+    enumerates both sides). Ids depend on dim and the n-gram lengths, never on
+    the weights. The memos are emptied together when a batch starts with
+    MEMO_SIZE entries or more, so they hold at most that plus one batch's.
 
-    scores() builds the rows of a context's candidates in one batch (_rows):
+    scores() builds the rows of a context's candidates in one pass (_rows):
     one np.minimum.at, a ufunc, as repeated fancy-index writes have no set
-    order, on a scratch of one slot per (row, id) finds each id's first
-    position in its row's id stream (the order a whole-string pass emits the
-    n-grams). First occurrences and bincount over first positions give each
-    row's (index, count) vector of a dict count of its stream, in its order,
-    so every score is the same float as a pair's alone. The training table
-    keeps counts as float32, exact for integer counts below 2**24.
+    order, on the call's scratch of one slot per (row, id) finds each id's
+    first position in its row's id stream (the order a whole-string pass emits
+    the n-grams). First occurrences and bincount over first positions give
+    each row's (index, count) vector of a dict count of its stream, in its
+    order, so every score is the same float as a pair's alone. The training
+    table keeps counts as float32, exact for integer counts below 2**24.
     """
 
     MEMO_SIZE = 2**14
     FORMAT = "hashed-ngram-linear/1"
-    _NO_POSITION = np.iinfo(np.int32).max
 
     def __init__(
         self,
@@ -148,7 +147,6 @@ class HashedNgramScorer:
         self.weights = np.zeros(self.dim, dtype=np.float64)
         # (context, text) -> FeatureRow of _hinge; rows never depend on the weights
         self._table: dict[tuple[str, str], FeatureRow] = {}
-        self._first = np.empty(0, dtype=np.int32)
         self._reset_memos()
 
     def _reset_memos(self) -> None:
@@ -156,7 +154,6 @@ class HashedNgramScorer:
         ids, self._indices = {}, array("I")
         families = [f"w{n}:" for n in self.word_ngrams] + [f"c{n}:" for n in self.char_ngrams]
         self._grams = [_GramIds(family, self.dim, ids, self._indices) for family in families]
-        self._context_memo: tuple[str, list[array], tuple] | None = None
         self._text_memo: dict[tuple[tuple, str], list[array]] = {}
 
     def _ids(self, words: Sequence[Sequence[str]], chars: Sequence[str]) -> list[array]:
@@ -171,60 +168,42 @@ class HashedNgramScorer:
         """Row r, [cuts[r], cuts[r + 1]), holds the hashed n-gram indices of the normalised
         "context || texts[r]" and their counts, in first-appearance order: word families,
         then char families, each as the prefix's n-grams, then the text's. The text's
-        n-grams are those of the text placed behind the prefix tail's last n - 1 tokens
-        (chars: tail chars, the joining space, the text; nothing for an empty text). A
-        chunk of rows has rows x ids <= 4 * MEMO_SIZE (or one row), so the scratch stays
-        bounded."""
-        idx_parts, cnt_parts, cuts = [np.empty(0, np.uint32)], [np.empty(0)], [0]
-        start, scratch_size = 0, 4 * self.MEMO_SIZE
-        while start < len(texts):
-            if len(self._text_memo) + sum(map(len, self._grams)) >= self.MEMO_SIZE:
-                self._reset_memos()
-            memo = self._context_memo
-            if memo is None or memo[0] != context:
-                tokens = context.casefold().split() + ["||"]
-                text = " ".join(tokens)
-                prefix = self._ids([tokens] * len(self.word_ngrams), [text] * len(self.char_ngrams))
-                # per family, the prefix's tail: its last n - 1 tokens or chars, all a junction n-gram reaches
-                tail = (
-                    tuple(tuple(tokens[max(0, len(tokens) - n + 1) :]) for n in self.word_ngrams),
-                    tuple(text[max(0, len(text) - n + 1) :] for n in self.char_ngrams),
-                )
-                if memo is not None and memo[2] == tail:
-                    tail = memo[2]  # equal tails share one object, which the text memo's keys hold
-                memo = self._context_memo = (context, prefix, tail)
-            _, prefix_parts, tail = memo
-            stream, ends, n_ids = array("I"), [0], 0
-            for text in texts[start:]:
-                pieces = self._text_memo.get((tail, text))
-                if pieces is None:
-                    tokens = text.casefold().split()
-                    joined = " ".join(tokens)
-                    words = [[*t, *tokens] for t in tail[0]]
-                    chars = [f"{t} {joined}" if joined else "" for t in tail[1]]
-                    pieces = self._text_memo[tail, text] = self._ids(words, chars)
-                if len(ends) > 1 and len(ends) * len(self._indices) > scratch_size:
-                    break
-                for prefix_part, piece in zip(prefix_parts, pieces):
-                    stream += prefix_part
-                    stream += piece
-                ends.append(len(stream))
-                n_ids = len(self._indices)
-            rows = len(ends) - 1
-            start += rows
-            if len(self._first) < rows * n_ids:  # one slot per (row, id)
-                self._first = np.full(max(rows * n_ids, scratch_size), self._NO_POSITION, dtype=np.int32)
-            ids = np.frombuffer(stream, dtype=np.uint32)
-            keys = ids + np.repeat(np.arange(rows) * n_ids, [e - s for s, e in zip(ends, ends[1:])])
-            positions = np.arange(len(ids), dtype=np.int32)
-            np.minimum.at(self._first, keys, positions)
-            first = self._first[keys]
-            self._first[keys] = self._NO_POSITION
-            kept = np.flatnonzero(first == positions)
-            cnt_parts.append(np.bincount(first, minlength=len(ids))[kept].astype(np.float64))
-            idx_parts.append(np.frombuffer(self._indices, dtype=np.uint32)[ids[kept]])
-            cuts += (cuts[-1] + np.searchsorted(kept, ends[1:])).tolist()
-        return np.concatenate(idx_parts), np.concatenate(cnt_parts), cuts
+        n-grams are those of the text behind the prefix tail's last n - 1 tokens (chars:
+        tail chars, the joining space, the text; nothing for an empty text)."""
+        if len(self._text_memo) + sum(map(len, self._grams)) >= self.MEMO_SIZE:
+            self._reset_memos()
+        tokens = context.casefold().split() + ["||"]
+        prefix = " ".join(tokens)
+        prefix_parts = self._ids([tokens] * len(self.word_ngrams), [prefix] * len(self.char_ngrams))
+        # per family, the prefix's tail: its last n - 1 tokens or chars, all a junction n-gram reaches
+        tail = (
+            tuple(tuple(tokens[max(0, len(tokens) - n + 1) :]) for n in self.word_ngrams),
+            tuple(prefix[max(0, len(prefix) - n + 1) :] for n in self.char_ngrams),
+        )
+        stream, ends = array("I"), [0]
+        for text in texts:
+            pieces = self._text_memo.get((tail, text))
+            if pieces is None:
+                tokens = text.casefold().split()
+                joined = " ".join(tokens)
+                words = [[*t, *tokens] for t in tail[0]]
+                chars = [f"{t} {joined}" if joined else "" for t in tail[1]]
+                pieces = self._text_memo[tail, text] = self._ids(words, chars)
+            for prefix_part, piece in zip(prefix_parts, pieces):
+                stream += prefix_part
+                stream += piece
+            ends.append(len(stream))
+        n_ids = len(self._indices)
+        ids = np.frombuffer(stream, dtype=np.uint32)
+        keys = ids + np.repeat(np.arange(len(texts)) * n_ids, [e - s for s, e in zip(ends, ends[1:])])
+        positions = np.arange(len(ids), dtype=np.int32)
+        first = np.full(len(texts) * n_ids, len(ids), dtype=np.int32)  # one slot per (row, id), past every position
+        np.minimum.at(first, keys, positions)
+        first = first[keys]
+        kept = np.flatnonzero(first == positions)
+        counts = np.bincount(first, minlength=len(ids))[kept].astype(np.float64)
+        indices = np.frombuffer(self._indices, dtype=np.uint32)[ids[kept]]
+        return indices, counts, [0, *np.searchsorted(kept, ends[1:]).tolist()]
 
     def scores(self, context: str, texts: Sequence[str]) -> list[float]:
         """Relevance of each candidate text to the context, from one batch of rows."""

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from evex.artifacts import read_json, read_jsonl
-from evex.cli import build_parser, load_config, main
+from evex.cli import MODEL_DIGEST_KEY, build_parser, load_config, main
 from evex.codec import CodecConfig, build_trigger_prompt, encode_trigger_target
 from evex.corpus import load_corpus
 from evex.generation import candidate_list_from_dict
@@ -316,6 +316,43 @@ def test_predict_flag_overrides_only_its_own_value_of_the_tuned_selection(tmp_pa
     meta = json.loads((tmp_path / "predictions.jsonl").read_text().splitlines()[0])["__meta__"]
     expected = {**tuned, flag: value}
     assert (meta["alpha"], meta["theta"]) == (expected["alpha"], expected["theta"])
+
+
+@pytest.mark.parametrize("stale", ["retrained", "no_digest"])
+def test_predict_refuses_a_selection_tuned_on_another_selector(tmp_path, capsys, stale):
+    cfg_path = build_demo_run(tmp_path, seed=9, noisy=True)
+    assert run(["pipeline", "--config", cfg_path, "--run-dir", tmp_path]) == 0
+    tuned_path = tmp_path / "tuned.json"
+    old = json.loads(tuned_path.read_text())
+    if stale == "retrained":
+        assert run(["train-selector", "--config", cfg_path, "--run-dir", tmp_path, "--seed", 5]) == 0
+    else:
+        tuned_path.write_text(json.dumps({k: v for k, v in old.items() if k != MODEL_DIGEST_KEY}))
+    capsys.readouterr()
+    for command in ("predict", "report"):
+        assert run([command, "--config", cfg_path, "--run-dir", tmp_path]) == 3
+        assert "error: tuned.json was not tuned on the current selector.model: run tune first" in capsys.readouterr().err
+    # both flags set: no tuned value is used
+    assert run(["predict", "--config", cfg_path, "--run-dir", tmp_path, "--alpha", 0.5, "--theta", 0.3]) == 0
+    assert run(["tune", "--config", cfg_path, "--run-dir", tmp_path]) == 0
+    assert run(["predict", "--config", cfg_path, "--run-dir", tmp_path]) == 0
+    tuned = json.loads(tuned_path.read_text())
+    meta = json.loads((tmp_path / "predictions.jsonl").read_text().splitlines()[0])["__meta__"]
+    assert (meta["alpha"], meta["theta"]) == (tuned["alpha"], tuned["theta"])
+    if stale == "retrained":  # the new selector tunes to another selection
+        assert (old["alpha"], old["theta"]) == (0.7, 0.25) and (tuned["alpha"], tuned["theta"]) == (0.8, 0.25)
+
+
+def test_evaluate_refuses_predictions_of_another_split(tmp_path, capsys):
+    cfg_path = build_demo_run(tmp_path, seed=9, noisy=True)
+    assert run(["pipeline", "--config", cfg_path, "--run-dir", tmp_path]) == 0
+    assert run(["predict", "--config", cfg_path, "--run-dir", tmp_path, "--split", "dev"]) == 0
+    capsys.readouterr()
+    assert run(["evaluate", "--config", cfg_path, "--run-dir", tmp_path]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"error: {tmp_path / 'predictions.jsonl'} holds predictions for split 'dev', not 'test'" in err
+    assert run(["evaluate", "--config", cfg_path, "--run-dir", tmp_path, "--split", "dev"]) == 0
 
 
 def no_candidate_above_theta(run_dir: Path) -> int:

@@ -252,9 +252,41 @@ def test_batched_scores_edge_cases():
     words = ["fired", "crowd", "bomb", "ẞtraße", "||", "[and]", "x", "😀"]
     texts = [f"{' '.join(rng.choices(words, k=rng.randint(1, 6)))} [T{i}]" for i in range(300)]
     got = scorer.scores(context, texts)
-    # the list is longer than one chunk, and the scratch holds one chunk
-    assert len(texts) * len(scorer._indices) > 4 * scorer.MEMO_SIZE == len(scorer._first)
     assert got == [reference_score(scorer, reference_features(scorer, context, t)) for t in texts]
+
+
+def numpy_attributes(scorer):
+    return {name: value.shape for name, value in vars(scorer).items() if isinstance(value, np.ndarray)}
+
+
+def test_scoring_keeps_no_array_sized_by_a_call():
+    """The scratch of a batch lives for its call: a long list leaves only the weights."""
+    scorer = HashedNgramScorer(dim=2**18)
+    before = numpy_attributes(scorer)
+    rng = random.Random(11)
+    words = ["fired", "crowd", "bomb", "x", "[and]"]
+    texts = [f"{' '.join(rng.choices(words, k=rng.randint(1, 6)))} [T{i}]" for i in range(300)]
+    scorer.scores("troops fired on the crowd .", texts)
+    assert numpy_attributes(scorer) == before == {"weights": (2**18,)}
+
+
+def memo_entries(scorer):
+    return len(scorer._text_memo) + sum(map(len, scorer._grams))
+
+
+@pytest.mark.parametrize("dim", [7, 2**18])
+def test_memos_exceed_the_cap_by_at_most_one_calls_new_entries(dim):
+    rng = random.Random(60 + dim)
+    capped = HashedNgramScorer(dim=dim)
+    capped.MEMO_SIZE = 64
+    grew_past_cap = False
+    for context, texts in texts_by_context(featurizer_pairs(rng)).items():
+        fresh = HashedNgramScorer(dim=dim)
+        fresh.scores(context, texts)  # from empty memos: every entry the call can add
+        capped.scores(context, texts)
+        assert memo_entries(capped) < capped.MEMO_SIZE + memo_entries(fresh)
+        grew_past_cap |= memo_entries(capped) > capped.MEMO_SIZE
+    assert grew_past_cap
 
 
 @pytest.mark.parametrize("dim", [7, 2**18])
