@@ -1,6 +1,8 @@
 """Pipeline orchestration: stage commands over a run directory.
 
-Stages read and write a run directory:
+The run config names the corpus of each split and the backend script file;
+a relative path in it resolves against the config file's directory, wherever
+the run directory lies. Stages read and write the run directory:
 
     pairs.jsonl               generator training pairs
     ontology.json             induced role ontology
@@ -78,7 +80,7 @@ from .tuning import (
 log = logging.getLogger("evex")
 
 SPLITS = ("train", "dev", "test")
-SECTIONS = ("corpus", "backend", "codec", "generation", "selector_train", "scorer", "pairs", "selection", "tuning")
+SECTIONS = ("corpus", "backend", "codec", "generation", "selector_train", "scorer", "selection", "tuning")
 # the one backend id: a ScriptedBackend
 BACKEND_ID = "toy"
 # rank_scores meta keys: sha256 of the selector.model and candidates file bytes the scores came from;
@@ -106,18 +108,17 @@ class RunConfig:
             if set(raw) - set(SECTIONS):
                 raise ValueError(f"unknown top-level key(s): {sorted(set(raw) - set(SECTIONS))}")
             self.corpus = _section(raw, "corpus", SPLITS, str)
-            backend = _section(raw, "backend", ("id", "script"))
+            backend = _section(raw, "backend", ("id", "script"), str)
             if backend.get("id", BACKEND_ID) != BACKEND_ID:
                 raise ValueError(f"unknown backend id: {backend['id']!r} (known: {BACKEND_ID!r})")
-            self.backend_script = backend.get("script")
-            if not isinstance(self.backend_script, str):
-                ScriptedBackend(self.backend_script)  # checks an inline script now; a file one at gen-candidates
+            if "script" not in backend:
+                raise ValueError("backend.script must name the backend script file")
+            self.script_path = path.parent / backend["script"]  # resolves like the corpus paths
             self.codec = CodecConfig(**raw.get("codec", {}))
             self.generation = GenerationConfig(**raw.get("generation", {}))
             self.selector_train = SelectorTrainConfig(**raw.get("selector_train", {}))
             self.scorer_params = raw.get("scorer", {})
             HashedNgramScorer(**self.scorer_params)  # checks keys and values now, not at train-selector
-            self.pairs = _section(raw, "pairs", ("multi_trigger_target", "include_empty"), bool)
             selection = raw.get("selection", "tune")
             self.selection = None if selection == "tune" else SelectionConfig(**selection)
             tuning = _section(raw, "tuning", ("alpha_grid", "theta_grid", "metric"))
@@ -131,10 +132,7 @@ class RunConfig:
     def corpus_path(self, split: str) -> Path:
         if split not in self.corpus:
             raise ConfigError(f"no {split!r} corpus in config {self.path}")
-        path = Path(self.corpus[split])
-        if not path.is_absolute():
-            path = self.path.parent / path
-        return path
+        return self.path.parent / self.corpus[split]  # an absolute path replaces the config's directory
 
 
 def _section(raw: dict, name: str, known: tuple[str, ...], kind: type = object) -> dict:
@@ -155,8 +153,8 @@ def load_config(path: str) -> RunConfig:
         raw = json.loads(config_path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ConfigError(f"config {path} is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object")
     return RunConfig(raw, config_path)
@@ -166,7 +164,7 @@ def _load_split(cfg: RunConfig, split: str) -> LoadResult:
     path = cfg.corpus_path(split)
     try:
         result = load_corpus(path, cfg.codec)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read corpus {path}: {exc}") from exc
     if not result.instances:
         raise DataError(f"corpus {path} contains no usable instances ({len(result.problems)} load problem(s))")
@@ -179,18 +177,14 @@ def _require(path: Path, hint: str) -> Path:
     return path
 
 
-def _build_backend(cfg: RunConfig, run_dir: Path) -> ScriptedBackend:
-    """The backend of the config's script: none, inline, or a file path, which
-    resolves against the run directory (corpus paths resolve against the config's)."""
-    if not isinstance(cfg.backend_script, str):
-        return ScriptedBackend(cfg.backend_script)
-    script_path = run_dir / cfg.backend_script  # an absolute path replaces run_dir
+def _build_backend(cfg: RunConfig) -> ScriptedBackend:
+    """The backend replaying the config's script file."""
     try:
-        return ScriptedBackend(json.loads(script_path.read_text(encoding="utf-8")))
+        return ScriptedBackend(json.loads(cfg.script_path.read_text(encoding="utf-8")))
     except OSError as exc:
-        raise ConfigError(f"cannot read backend script {script_path}: {exc}") from exc
-    except (TypeError, ValueError) as exc:  # not JSON, or not an input -> hypotheses map
-        raise ConfigError(f"bad backend script {script_path}: {exc}") from exc
+        raise ConfigError(f"cannot read backend script {cfg.script_path}: {exc}") from exc
+    except (TypeError, ValueError) as exc:  # not UTF-8 JSON, or not an input -> hypotheses map
+        raise ConfigError(f"bad backend script {cfg.script_path}: {exc}") from exc
 
 
 def _read_candidates(run_dir: Path, cfg: RunConfig, split: str) -> list[CandidateList]:
@@ -211,7 +205,7 @@ def _read_candidates(run_dir: Path, cfg: RunConfig, split: str) -> list[Candidat
 def cmd_preprocess(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> None:
     instances = _load_split(cfg, "train").instances
     ontology = ontology_from_corpus(instances)
-    pairs = make_corpus_pairs(instances, ontology, cfg.codec, **cfg.pairs)
+    pairs = make_corpus_pairs(instances, ontology, cfg.codec)
     artifacts.write_json(
         run_dir / "ontology.json",
         {"roles_by_type": {t: list(r) for t, r in ontology.items()}},
@@ -227,7 +221,7 @@ def cmd_gen_candidates(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) 
     split = args.split
     pairs_path = _require(run_dir / "pairs.jsonl", "preprocess")
     pairs = artifacts.read_jsonl(pairs_path, cfg.hash, convert=lambda row: TrainingPair(**row))
-    backend = _build_backend(cfg, run_dir)
+    backend = _build_backend(cfg)
     backend.fit(pairs)
     loaded = _load_split(cfg, split)  # every split passes through here, so its load report is written here
     report = {"path": cfg.corpus[split], **loaded.to_dict()}  # as the config writes it, wherever the run lies

@@ -7,8 +7,13 @@ The ingestion format is JSON lines, one context per line:
                  "arguments": [{"role": "Destination", "entity": "home"}]}]}
 
 A missing "events" field means a negative (zero-event) context. Malformed
-lines and lines repeating an earlier doc_id are skipped and reported with
-their line number, never fatal.
+lines (including a role with an angle bracket or an entity equal to a codec
+placeholder) and lines repeating an earlier doc_id are skipped and reported
+with their line number, never fatal.
+
+The generator trains on per-event templates: each event frame gives one
+trigger pair and one argument pair, and a zero-event context one trigger
+pair with the empty-token target.
 """
 
 from __future__ import annotations
@@ -131,63 +136,27 @@ def write_corpus(instances: list[ContextInstance], path: str | Path) -> None:
             fh.write(json.dumps(instance_to_dict(instance), ensure_ascii=False) + "\n")
 
 
-def make_training_pairs(
-    instance: ContextInstance,
-    ontology: Ontology,
-    cfg: CodecConfig,
-    multi_trigger_target: bool = False,
-) -> list[TrainingPair]:
-    """Build the generator's training pairs for one context.
+def make_corpus_pairs(instances: list[ContextInstance], ontology: Ontology, cfg: CodecConfig) -> list[TrainingPair]:
+    """Build the generator's training pairs for a corpus, in corpus order.
 
-    Per event frame: one trigger pair and one argument pair. Zero-event
-    contexts yield a single trigger pair with the empty-token target. With
-    multi_trigger_target set, one extra trigger pair joins all triggers of
-    the context into a single target.
+    Per event frame: one trigger pair and one argument pair. A zero-event
+    context yields a single trigger pair with the empty-token target.
     """
-    prompt = build_trigger_prompt(instance.context, cfg)
-    if not instance.gold_frames:
-        return [TrainingPair(prompt, cfg.empty_token, TASK_TRIGGER, instance.doc_id)]
-    pairs: list[TrainingPair] = []
-    for frame in instance.gold_frames:
-        if frame.trigger.event_type not in ontology:
-            raise ValueError(
-                f"type not in ontology: {frame.trigger.event_type} (doc {instance.doc_id})"
-            )
-        pairs.append(
-            TrainingPair(prompt, encode_trigger_target([frame], cfg), TASK_TRIGGER, instance.doc_id)
-        )
-        pairs.append(
-            TrainingPair(
-                build_argument_prompt(instance.context, frame.trigger.word, cfg),
-                encode_argument_target(frame, ontology, cfg),
-                TASK_ARGUMENT,
-                instance.doc_id,
-            )
-        )
-    if multi_trigger_target:
-        pairs.append(
-            TrainingPair(
-                prompt,
-                encode_trigger_target(list(instance.gold_frames), cfg),
-                TASK_TRIGGER,
-                instance.doc_id,
-            )
-        )
-    return pairs
-
-
-def make_corpus_pairs(
-    instances: list[ContextInstance],
-    ontology: Ontology,
-    cfg: CodecConfig,
-    multi_trigger_target: bool = False,
-    include_empty: bool = True,
-) -> list[TrainingPair]:
-    """Training pairs for a whole corpus. include_empty controls whether
-    zero-event contexts contribute their "[none]"-target pair."""
     pairs: list[TrainingPair] = []
     for instance in instances:
-        if not instance.gold_frames and not include_empty:
-            continue
-        pairs.extend(make_training_pairs(instance, ontology, cfg, multi_trigger_target))
+        prompt = build_trigger_prompt(instance.context, cfg)
+        if not instance.gold_frames:
+            pairs.append(TrainingPair(prompt, cfg.empty_token, TASK_TRIGGER, instance.doc_id))
+        for frame in instance.gold_frames:
+            if frame.trigger.event_type not in ontology:
+                raise ValueError(f"type not in ontology: {frame.trigger.event_type} (doc {instance.doc_id})")
+            pairs.append(TrainingPair(prompt, encode_trigger_target([frame], cfg), TASK_TRIGGER, instance.doc_id))
+            pairs.append(
+                TrainingPair(
+                    build_argument_prompt(instance.context, frame.trigger.word, cfg),
+                    encode_argument_target(frame, ontology, cfg),
+                    TASK_ARGUMENT,
+                    instance.doc_id,
+                )
+            )
     return pairs

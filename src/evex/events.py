@@ -59,6 +59,8 @@ class ArgumentPair:
         entity = normalize_ws(self.entity)
         if not role:
             raise ValueError("argument role must be nonempty")
+        if "<" in role or ">" in role:  # the codec tags a role as <role> ... </role>
+            raise ValueError(f"argument role must not contain angle brackets: {role!r}")
         if not entity:
             raise ValueError("argument entity must be nonempty")
         object.__setattr__(self, "role", role)
@@ -139,8 +141,6 @@ def ontology_from_corpus(instances: list[ContextInstance]) -> Ontology:
         for frame in instance.gold_frames:
             roles = roles_by_type.setdefault(frame.trigger.event_type, [])
             for pair in frame.arguments:
-                if "<" in pair.role or ">" in pair.role:
-                    raise ValueError(f"role name must not contain angle brackets: {pair.role!r}")
                 if pair.role not in roles:
                     roles.append(pair.role)
     return {t: tuple(r) for t, r in roles_by_type.items()}

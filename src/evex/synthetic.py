@@ -205,33 +205,7 @@ def write_script(script: dict[str, list[tuple[str, float]]], path: str | Path) -
     Path(path).write_text(json.dumps(payload, sort_keys=True, ensure_ascii=False), encoding="utf-8")
 
 
-def make_run_config(
-    script_file: str = "script.json",
-    selection: str | dict = "tune",
-    epochs: int = 12,
-    seed: int = 0,
-) -> dict:
-    """A run-config dict for a synthetic run directory (paths are relative
-    to the config file, which lives in the run directory)."""
-    return {
-        "corpus": {
-            "train": "corpus.train.jsonl",
-            "dev": "corpus.dev.jsonl",
-            "test": "corpus.test.jsonl",
-        },
-        "backend": {"id": "toy", "script": script_file},
-        "selector_train": {"epochs": epochs, "seed": seed},
-        "selection": selection,
-    }
-
-
-def build_demo_run(
-    run_dir: str | Path,
-    seed: int = 0,
-    noisy: bool = False,
-    noise_rate: float = 0.5,
-    selection: str | dict = "tune",
-) -> Path:
+def build_demo_run(run_dir: str | Path, seed: int = 0, noisy: bool = False) -> Path:
     """Write corpus files, a backend script, and a run config into run_dir;
     returns the config path. The CLI can then run any stage against it."""
     from .corpus import write_corpus
@@ -243,14 +217,19 @@ def build_demo_run(
     # argument targets for every split, not just train
     ontology = ontology_from_corpus(data.all_instances())
     if noisy:
-        script = noisy_script(data.all_instances(), ontology, seed=seed, noise_rate=noise_rate)
+        script = noisy_script(data.all_instances(), ontology, seed=seed)
     else:
         script = oracle_script(data.all_instances(), ontology, seed=seed)
     write_corpus(data.train, run_dir / "corpus.train.jsonl")
     write_corpus(data.dev, run_dir / "corpus.dev.jsonl")
     write_corpus(data.test, run_dir / "corpus.test.jsonl")
     write_script(script, run_dir / "script.json")
-    config = make_run_config(selection=selection, seed=seed)
+    config = {  # paths resolve against the config file, which lives in run_dir
+        "corpus": {split: f"corpus.{split}.jsonl" for split in ("train", "dev", "test")},
+        "backend": {"id": "toy", "script": "script.json"},
+        "selector_train": {"epochs": 12, "seed": seed},
+        "selection": "tune",
+    }
     config_path = run_dir / "config.json"
     config_path.write_text(json.dumps(config, indent=2, sort_keys=True), encoding="utf-8")
     return config_path

@@ -29,6 +29,8 @@ def test_bad_config_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run(["preprocess", "--config", bad, "--run-dir", tmp_path]) == 2
+    bad.write_bytes(b'{"corpus": {}}\xff')  # not UTF-8
+    assert run(["preprocess", "--config", bad, "--run-dir", tmp_path]) == 2
     missing = tmp_path / "missing.json"
     assert run(["preprocess", "--config", missing, "--run-dir", tmp_path]) == 2
     invalid = tmp_path / "invalid.json"
@@ -52,7 +54,7 @@ def test_bad_config_exits_2(tmp_path):
         ("tuning", {"alpha_grids": [0.4]}),
         ("scorer", {"dims": 5}),
         ("scorer", {"dim": "big"}),
-        ("pairs", {"include_emptyy": False}),
+        ("pairs", {"include_emptyy": False}),  # there is no pairs section, whatever it holds
         ("pairs", {"include_empty": "false"}),
         ("tuning", {"alpha_grid": ["0.5"]}),
         ("backend", {"id": "bert", "script": "script.json"}),
@@ -63,15 +65,11 @@ def test_bad_config_exits_2(tmp_path):
         ("selector_train", {"epochs": 2.5}),
         ("backend", {"script": 5}),
         ("backend", {"script": [1, 2]}),
-        ("backend", {"script": {"p": [["a"]]}}),
-        ("backend", {"script": {"p": [["a [T]", "NaN"]]}}),
-        ("backend", {"script": {"p": [["a [T]", "1.5"]]}}),
-        ("backend", {"script": {"p": [[5, -0.1]]}}),
-        ("backend", {"script": {"p": [["a", 1.0, 2]]}}),
-        ("backend", {"script": {"p": [5]}}),
-        ("backend", {"script": {"p": None}}),
+        ("backend", {"script": {"p": [["a [T]", -0.1]]}}),
+        ("backend", {"id": "toy"}),
         ("selecton", {"alpha": 0.9, "theta": 0.9}),
         ("pairs", [["include_empty", False]]),
+        ("pairs", {"multi_trigger_target": False, "include_empty": True}),
         ("scorer", [["dim", 1024]]),
         ("tuning", [["metric", "trig_i"]]),
     ],
@@ -79,9 +77,8 @@ def test_bad_config_exits_2(tmp_path):
         "theta_grid_1.5", "alpha_grid_negative", "alpha_grids_typo", "dims_typo", "dim_string", "include_emptyy_typo",
         "include_empty_string", "alpha_grid_string", "backend_bert", "none_token_int", "corpus_tset",
         "dim_float", "beam_width_float", "epochs_float",
-        "script_int", "script_list", "script_hypothesis_without_score", "script_score_nan",
-        "script_score_string", "script_text_int", "script_hypothesis_triple", "script_hypothesis_int",
-        "script_hypotheses_null", "selecton_typo", "pairs_list", "scorer_list", "tuning_list",
+        "script_int", "script_list", "script_inline", "script_missing", "selecton_typo", "pairs_list",
+        "pairs_section", "scorer_list", "tuning_list",
     ],
 )
 def test_bad_config_section_exits_2_before_any_stage(tmp_path, capsys, section, value):
@@ -92,12 +89,24 @@ def test_bad_config_section_exits_2_before_any_stage(tmp_path, capsys, section, 
     assert run(["pipeline", "--config", cfg_path, "--run-dir", tmp_path]) == 2
     err = capsys.readouterr().err
     assert "error: bad run config" in err
-    if isinstance(value, dict) and isinstance(value.get("script"), dict):  # a bad script is named by its prompt
-        assert "'p'" in err
     assert not (tmp_path / "pairs.jsonl").exists()
 
 
-@pytest.mark.parametrize("content", ["{not json", "[1, 2]"], ids=["not_json", "json_list"])
+@pytest.mark.parametrize(
+    "content",
+    [
+        "{not json",
+        "[1, 2]",
+        *(
+            json.dumps({"p": hypotheses})
+            for hypotheses in ([["a"]], [["a [T]", "NaN"]], [["a [T]", "1.5"]], [[5, -0.1]], [["a", 1.0, 2]], [5], None)
+        ),
+    ],
+    ids=[
+        "not_json", "json_list", "script_hypothesis_without_score", "script_score_nan", "script_score_string",
+        "script_text_int", "script_hypothesis_triple", "script_hypothesis_int", "script_hypotheses_null",
+    ],
+)
 def test_bad_script_file_exits_2_at_gen_candidates(tmp_path, capsys, content):
     cfg_path = build_demo_run(tmp_path, seed=2)
     (tmp_path / "script.json").write_text(content)
@@ -105,8 +114,21 @@ def test_bad_script_file_exits_2_at_gen_candidates(tmp_path, capsys, content):
     assert run(["gen-candidates", "--config", cfg_path, "--run-dir", tmp_path, "--split", "train"]) == 2
     err = capsys.readouterr().err
     assert f"error: bad backend script {tmp_path / 'script.json'}" in err
+    if content.startswith('{"p"'):  # a bad hypothesis list is named by its prompt
+        assert "'p'" in err
     assert "Traceback" not in err
     assert not (tmp_path / "candidates.train.jsonl").exists()
+
+
+def test_script_path_resolves_against_the_config_directory(tmp_path):
+    """Like the corpus paths, a relative backend.script is found next to the config, not in --run-dir."""
+    cfg_path = build_demo_run(tmp_path / "inputs", seed=2)
+    rd = tmp_path / "elsewhere" / "run"
+    for run_dir in (rd, cfg_path.parent):
+        assert run(["preprocess", "--config", cfg_path, "--run-dir", run_dir]) == 0
+        assert run(["gen-candidates", "--config", cfg_path, "--run-dir", run_dir, "--split", "train"]) == 0
+    for name in ("candidates.train.jsonl", "load_report.train.json"):
+        assert (rd / name).read_bytes() == (cfg_path.parent / name).read_bytes()
 
 
 def test_tune_without_dev_candidates_exits_3(tmp_path, capsys):
@@ -123,6 +145,30 @@ def test_missing_corpus_exits_4(tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text(json.dumps(cfg))
     assert run(["preprocess", "--config", broken, "--run-dir", tmp_path]) == 4
+
+
+def test_corpus_not_utf8_exits_4(tmp_path, capsys):
+    cfg_path = build_demo_run(tmp_path, seed=1)
+    with open(tmp_path / "corpus.train.jsonl", "ab") as fh:
+        fh.write(b"\xff\n")
+    assert run(["preprocess", "--config", cfg_path, "--run-dir", tmp_path]) == 4
+    assert f"error: cannot read corpus {tmp_path / 'corpus.train.jsonl'}" in capsys.readouterr().err
+    assert not (tmp_path / "pairs.jsonl").exists()
+
+
+def test_gold_role_with_angle_bracket_is_a_load_problem(tmp_path):
+    """The codec could not tag such a role, so its line is skipped and reported like any malformed line."""
+    cfg_path = build_demo_run(tmp_path, seed=1)
+    corpus = tmp_path / "corpus.train.jsonl"
+    event = {"trigger": {"word": "went", "type": "Movement"}, "arguments": [{"role": "<Place>", "entity": "home"}]}
+    with corpus.open("a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"doc_id": "bad-role", "context": "He went home .", "events": [event]}) + "\n")
+    assert run(["preprocess", "--config", cfg_path, "--run-dir", tmp_path]) == 0
+    assert run(["gen-candidates", "--config", cfg_path, "--run-dir", tmp_path, "--split", "train"]) == 0
+    problems = read_json(tmp_path / "load_report.train.json")["problems"]
+    assert [p["line"] for p in problems] == [len(corpus.read_text().splitlines())]
+    assert "angle brackets" in problems[0]["message"]
+    assert "<Place>" not in (tmp_path / "ontology.json").read_text()
 
 
 def test_unknown_backend_exits_2(tmp_path):
@@ -284,7 +330,7 @@ def test_report_sweeps_equal_per_cell_evaluation(tmp_path, overrides, joined):
 
 
 def test_predict_defaults_when_untuned(tmp_path):
-    cfg_path = build_demo_run(tmp_path, seed=7, selection="tune")
+    cfg_path = build_demo_run(tmp_path, seed=7)
     rd = tmp_path
     assert run(["preprocess", "--config", cfg_path, "--run-dir", rd]) == 0
     for split in ("train", "test"):

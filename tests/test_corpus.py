@@ -10,7 +10,6 @@ from evex.corpus import (
     TrainingPair,
     load_corpus,
     make_corpus_pairs,
-    make_training_pairs,
     write_corpus,
 )
 from evex.events import ArgumentPair, ContextInstance, EventFrame, Trigger, ontology_from_corpus
@@ -156,7 +155,7 @@ def fig3_style_corpus():
 def test_make_training_pairs_two_event_instance():
     two_event, role_filler = fig3_style_corpus()
     onto = ontology_from_corpus([two_event, role_filler])
-    pairs = make_training_pairs(two_event, onto, CFG)
+    pairs = make_corpus_pairs([two_event], onto, CFG)
     assert len(pairs) == 4
     trigger_pairs = [p for p in pairs if p.task == TASK_TRIGGER]
     argument_pairs = [p for p in pairs if p.task == TASK_ARGUMENT]
@@ -174,18 +173,9 @@ def test_make_training_pairs_two_event_instance():
     assert argument_pairs[1].target == "<Artifact> [None] </Artifact> <Place> [None] </Place>"
 
 
-def test_make_training_pairs_multi_trigger_flag_adds_joined_target():
-    two_event, role_filler = fig3_style_corpus()
-    onto = ontology_from_corpus([two_event, role_filler])
-    pairs = make_training_pairs(two_event, onto, CFG, multi_trigger_target=True)
-    assert len(pairs) == 5
-    assert pairs[-1].target == "killed [Life_Die] [and] went [Movement_Transport]"
-    assert pairs[-1].task == TASK_TRIGGER
-
-
 def test_make_training_pairs_zero_event_instance():
     inst = ContextInstance("d", "nothing happened .", ())
-    pairs = make_training_pairs(inst, ontology_from_corpus([inst]), CFG)
+    pairs = make_corpus_pairs([inst], ontology_from_corpus([inst]), CFG)
     assert len(pairs) == 1
     assert pairs[0].target == "[none]" and pairs[0].task == TASK_TRIGGER
 
@@ -193,7 +183,7 @@ def test_make_training_pairs_zero_event_instance():
 def test_make_training_pairs_unknown_type_names_doc():
     inst = ContextInstance("doc-9", "he went .", (EventFrame(Trigger("went", "T")),))
     with pytest.raises(ValueError, match="doc-9"):
-        make_training_pairs(inst, ontology_from_corpus([ContextInstance("x", "y z", ())]), CFG)
+        make_corpus_pairs([inst], ontology_from_corpus([ContextInstance("x", "y z", ())]), CFG)
 
 
 def test_pair_count_and_prefix_invariants():
@@ -202,7 +192,7 @@ def test_pair_count_and_prefix_invariants():
         frames = [random_frame(rng) for _ in range(rng.randint(0, 3))]
         inst = ContextInstance("d", "ctx words here", tuple(frames))
         onto = ontology_covering(list(frames), rng)
-        pairs = make_training_pairs(inst, onto, CFG, multi_trigger_target=rng.random() < 0.5)
+        pairs = make_corpus_pairs([inst], onto, CFG)
         arg_pairs = [p for p in pairs if p.task == TASK_ARGUMENT]
         assert len(arg_pairs) == len(frames)
         for p in pairs:
@@ -218,7 +208,7 @@ def test_emitted_targets_decode_back():
         frames = [random_frame(rng) for _ in range(rng.randint(0, 3))]
         inst = ContextInstance("d", "ctx words here", tuple(frames))
         onto = ontology_covering(list(frames), rng)
-        for pair in make_training_pairs(inst, onto, CFG):
+        for pair in make_corpus_pairs([inst], onto, CFG):
             if pair.task == TASK_TRIGGER:
                 decoded, warnings = decode_trigger_candidate(pair.target, CFG)
                 assert warnings == []
@@ -228,12 +218,3 @@ def test_emitted_targets_decode_back():
                 assert warnings == []
                 all_args = {a for f in frames for a in f.arguments}
                 assert set(decoded_args) <= all_args
-
-
-def test_make_corpus_pairs_include_empty_toggle():
-    two_event, role_filler = fig3_style_corpus()
-    empty = ContextInstance("d3", "quiet day .", ())
-    onto = ontology_from_corpus([two_event, role_filler])
-    with_empty = make_corpus_pairs([two_event, role_filler, empty], onto, CFG)
-    without = make_corpus_pairs([two_event, role_filler, empty], onto, CFG, include_empty=False)
-    assert len(with_empty) == len(without) + 1

@@ -98,7 +98,9 @@ def test_ontology_induction_idempotent():
 
 
 def test_ontology_rejects_angle_bracket_roles():
-    inst = ContextInstance("d", "x went .", (frame("went", "T", ("<Bad>", "x")),))
-    with pytest.raises(ValueError, match="angle brackets"):
-        ontology_from_corpus([inst])
+    """The codec tags a role as <role> ... </role>, so no ontology may hold one with
+    an angle bracket: the argument pair refuses it, before any frame holds it."""
+    for role in ("<Bad>", "A>B", "a <b"):
+        with pytest.raises(ValueError, match="angle brackets"):
+            ArgumentPair(role, "x")
 
