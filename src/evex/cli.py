@@ -34,6 +34,8 @@ from dataclasses import asdict, replace
 from functools import partial
 from pathlib import Path
 
+import numpy as np
+
 from . import artifacts
 from .artifacts import DataError
 from .codec import CodecConfig
@@ -273,6 +275,9 @@ def cmd_train_selector(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) 
         result = train_selector(scorer, data, train_cfg, cfg.codec)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
+    if not np.isfinite(scorer.weights).all():  # a selector.model no reader accepts; the old one stays
+        rate = train_cfg.learning_rate
+        raise DataError(f"training diverged to non-finite weights: lower selector_train.learning_rate ({rate:g})")
     scorer.save(
         run_dir / "selector.model",
         extra={
@@ -340,7 +345,7 @@ def _with_gold(cfg: RunConfig, split: str, lists: list[CandidateList]) -> list[t
 def cmd_tune(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> None:
     dev = _with_gold(cfg, "dev", _scored_candidates(cfg, run_dir, "dev"))
     result = grid_search(dev, cfg.alpha_grid, cfg.theta_grid, cfg.metric)
-    best_f1 = result.best_report().score(result.metric).f1
+    best_f1 = result.report.score(result.metric).f1
     write_score_table(result.table, run_dir / "tuning.csv", comment=f"config_hash={cfg.hash}")
     tuned = {"alpha": result.alpha, "theta": result.theta, "metric": result.metric, "best_f1": best_f1}
     artifacts.write_json(run_dir / "tuned.json", {**tuned, MODEL_DIGEST_KEY: _model_digest(run_dir)}, cfg.hash)

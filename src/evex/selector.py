@@ -60,8 +60,8 @@ class SelectorTrainConfig:
             raise ValueError("margin must be a number in [-1, 1]")
         if self.negatives_k < 1:
             raise ValueError("negatives_k must be >= 1")
-        if not is_number(self.learning_rate) or self.learning_rate <= 0:
-            raise ValueError("learning_rate must be a positive number")
+        if not is_number(self.learning_rate) or not 0 < self.learning_rate < math.inf:  # NaN fails too
+            raise ValueError("learning_rate must be a positive finite number")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
 

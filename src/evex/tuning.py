@@ -10,8 +10,8 @@ of their thetas: a (cells, candidates) kept matrix. Its product with the
 triggers; the frames of the doc's distinct triggers are counted for all cells
 in one metrics.match_count_matrix call per doc and added into the integer
 totals (one call per split would hold a (cells, key occurrences) weight array
-of megabytes). The reports equal those of evaluate_selection, the per-cell
-reference. Ties break toward the smaller threshold, then the smaller weight.
+of megabytes). It is the one scorer of a selection (evaluate_selection sweeps
+one cell). Ties break toward the smaller threshold, then the smaller weight.
 
 The settings rule (checked_grids) is applied by grid_search and at config load.
 """
@@ -28,8 +28,10 @@ import numpy as np
 from .artifacts import replacing
 from .events import ContextInstance
 from .generation import CandidateList, frames_from_cache
-from .metrics import SUBTASKS, TRIG_C, EvalReport, evaluate_corpus, match_count_matrix
-from .selector import SelectionConfig, fuse_and_select, kept_mask
+from .metrics import SUBTASKS, TRIG_C, EvalReport, match_count_matrix
+from .metrics import evaluate_corpus  # noqa: F401  unused here; a benchmark tracer wraps it by this name
+from .selector import SelectionConfig, kept_mask
+from .selector import fuse_and_select  # noqa: F401  unused here; a benchmark tracer wraps it by this name
 
 DEFAULT_ALPHA_GRID = tuple(round(i * 0.1, 1) for i in range(11))  # 0.0 .. 1.0
 DEFAULT_THETA_GRID = tuple(round(i * 0.05, 2) for i in range(1, 20))  # 0.05 .. 0.95
@@ -47,33 +49,23 @@ class GridSearchResult:
     alpha: float
     theta: float
     metric: str
+    report: EvalReport  # of the chosen cell
     table: tuple[GridCell, ...]
-
-    def best_report(self) -> EvalReport:
-        for cell in self.table:
-            if cell.alpha == self.alpha and cell.theta == self.theta:
-                return cell.report
-        raise ValueError("best cell missing from table")
 
 
 def evaluate_selection(
     dev: list[tuple[ContextInstance, CandidateList]],
     cfg: SelectionConfig,
 ) -> EvalReport:
-    """Select with cached rank scores and score the resulting frames."""
-    predictions = []
-    for instance, candidates in dev:
-        triggers = fuse_and_select(candidates, scorer=None, cfg=cfg)
-        predictions.append((instance.doc_id, frames_from_cache(candidates, triggers)))
-    return evaluate_corpus(predictions, [instance for instance, _ in dev])
+    """Select with cached rank scores and score the resulting frames: the sweep of one cell."""
+    return sweep_selection(dev, [(cfg.alpha, cfg.theta)])[0].report
 
 
 def sweep_selection(
     dev: list[tuple[ContextInstance, CandidateList]],
     cells: list[tuple[float, float]],
 ) -> list[GridCell]:
-    """One GridCell per (alpha, theta) in cells, in their order; each report
-    equals evaluate_selection(dev, SelectionConfig(alpha, theta)).
+    """One GridCell per (alpha, theta) in cells, in their order.
 
     Doc ids must be unique (load_corpus skips repeats), as evaluate_corpus
     requires of its prediction rows.
@@ -109,7 +101,7 @@ def grid_search(
         dev, [(alpha, theta) for theta in sorted(theta_grid) for alpha in sorted(alpha_grid)]
     )
     best = max(table, key=lambda cell: cell.report.score(metric).f1)  # the first of equals
-    return GridSearchResult(alpha=best.alpha, theta=best.theta, metric=metric, table=tuple(table))
+    return GridSearchResult(alpha=best.alpha, theta=best.theta, metric=metric, report=best.report, table=tuple(table))
 
 
 def checked_grids(

@@ -3,6 +3,7 @@ import io
 import json
 import logging
 import math
+import subprocess
 import sys
 from functools import partial
 from pathlib import Path
@@ -14,9 +15,11 @@ from evex.cli import MODEL_DIGEST_KEY, build_parser, load_config, main
 from evex.codec import CodecConfig, build_trigger_prompt, encode_trigger_target
 from evex.corpus import load_corpus
 from evex.generation import candidate_list_from_dict
-from evex.selector import SelectionConfig, kept_mask
+from evex.selector import kept_mask
 from evex.synthetic import build_demo_run, make_synthetic_corpus
-from evex.tuning import GridCell, evaluate_selection, write_score_table
+from evex.tuning import GridCell, write_score_table
+
+from util import per_cell_report
 
 F1_KEYS = ("trig_i", "trig_c", "arg_i", "arg_c")
 
@@ -72,13 +75,15 @@ def test_bad_config_exits_2(tmp_path):
         ("pairs", {"multi_trigger_target": False, "include_empty": True}),
         ("scorer", [["dim", 1024]]),
         ("tuning", [["metric", "trig_i"]]),
+        ("selector_train", {"learning_rate": math.nan}),
+        ("selector_train", {"learning_rate": math.inf}),
     ],
     ids=[
         "theta_grid_1.5", "alpha_grid_negative", "alpha_grids_typo", "dims_typo", "dim_string", "include_emptyy_typo",
         "include_empty_string", "alpha_grid_string", "backend_bert", "none_token_int", "corpus_tset",
         "dim_float", "beam_width_float", "epochs_float",
         "script_int", "script_list", "script_inline", "script_missing", "selecton_typo", "pairs_list",
-        "pairs_section", "scorer_list", "tuning_list",
+        "pairs_section", "scorer_list", "tuning_list", "learning_rate_nan", "learning_rate_inf",
     ],
 )
 def test_bad_config_section_exits_2_before_any_stage(tmp_path, capsys, section, value):
@@ -324,7 +329,7 @@ def test_report_sweeps_equal_per_cell_evaluation(tmp_path, overrides, joined):
         parses = [kept_parses(cl, a, t) for _, cl in paired for cells in sweeps.values() for a, t in cells]
         assert any(len(p) > len(set(p)) for p in parses)
     for name, cells in sweeps.items():
-        table = [GridCell(a, t, evaluate_selection(paired, SelectionConfig(a, t))) for a, t in cells]
+        table = [GridCell(a, t, per_cell_report(paired, a, t)) for a, t in cells]
         write_score_table(table, tmp_path / name, comment=f"config_hash={cfg.hash} split=test")
         assert (rd / name).read_bytes() == (tmp_path / name).read_bytes()
 
@@ -441,6 +446,28 @@ def test_retrained_selector_rescores_cached_candidates(tmp_path):
     assert dev_rank_scores(fresh) != seed0_scores
     assert dev_rank_scores(retrained) == dev_rank_scores(fresh)
     assert (retrained / "tuning.csv").read_bytes() == (fresh / "tuning.csv").read_bytes()
+
+
+def test_diverged_selector_training_exits_4_and_keeps_the_old_model(tmp_path):
+    """A finite learning rate that overflows the weights is refused before selector.model is written.
+    Run in a subprocess, where numpy's overflow warnings stay warnings."""
+    cfg_path = build_demo_run(tmp_path, seed=3, noisy=True)
+    assert run(["preprocess", "--config", cfg_path, "--run-dir", tmp_path]) == 0
+    assert run(["gen-candidates", "--config", cfg_path, "--run-dir", tmp_path, "--split", "train"]) == 0
+    assert run(["train-selector", "--config", cfg_path, "--run-dir", tmp_path]) == 0
+    model = (tmp_path / "selector.model").read_bytes()
+    cfg = json.loads(cfg_path.read_text())
+    cfg.setdefault("selector_train", {})["learning_rate"] = 1e308
+    cfg_path.write_text(json.dumps(cfg))
+    proc = subprocess.run(
+        [sys.executable, "-m", "evex", "train-selector", "--config", str(cfg_path), "--run-dir", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert "selector_train.learning_rate" in proc.stderr
+    assert (tmp_path / "selector.model").read_bytes() == model
 
 
 def test_only_gen_candidates_writes_candidates(tmp_path):

@@ -15,7 +15,7 @@ from evex.tuning import (
     write_score_table,
 )
 
-from util import safe_word
+from util import per_cell_report, safe_word
 
 
 def scored_candidate(word, etype, beam, rank):
@@ -58,7 +58,7 @@ def planted_dev_set():
 def test_grid_search_finds_planted_optimum():
     result = grid_search(planted_dev_set(), alpha_grid=[0.0, 0.5, 1.0], theta_grid=[0.3, 0.6])
     assert (result.alpha, result.theta) == (1.0, 0.3)
-    assert result.best_report().trig_c.f1 == 1.0
+    assert result.report.trig_c.f1 == 1.0
     others = [c for c in result.table if (c.alpha, c.theta) != (1.0, 0.3)]
     assert all(c.report.trig_c.f1 < 1.0 for c in others)
 
@@ -97,7 +97,8 @@ def test_returned_cell_is_table_maximum():
         winners = [c for c in result.table if c.report.trig_c.f1 == best_f1]
         expected = min(winners, key=lambda c: (c.theta, c.alpha))
         assert (result.alpha, result.theta) == (expected.alpha, expected.theta)
-        assert result.best_report().trig_c.f1 == best_f1
+        assert result.report.trig_c.f1 == best_f1
+        assert result.report == expected.report
 
 
 def tied_scored_dev(rng):
@@ -133,7 +134,9 @@ def test_sweep_matches_per_cell_reference():
         swept = sweep_selection(dev, cells)
         assert [(cell.alpha, cell.theta) for cell in swept] == cells
         for cell in swept:
-            assert cell.report == evaluate_selection(dev, SelectionConfig(cell.alpha, cell.theta))
+            expected = per_cell_report(dev, cell.alpha, cell.theta)
+            assert cell.report == expected
+            assert evaluate_selection(dev, SelectionConfig(cell.alpha, cell.theta)) == expected
     # the cases the sweep must get right are really there
     fused = [fuse_scores([c.rank_score for c in cl.candidates], [c.beam_score for c in cl.candidates], 1.0)
              for _, cl in dev if cl.candidates]
@@ -185,7 +188,9 @@ def test_sweep_edge_cases_match_per_cell_reference():
         swept = sweep_selection(dev, cells)
         assert [(cell.alpha, cell.theta) for cell in swept] == cells
         for cell in swept:
-            assert cell.report == evaluate_selection(dev, SelectionConfig(cell.alpha, cell.theta))
+            expected = per_cell_report(dev, cell.alpha, cell.theta)
+            assert cell.report == expected
+            assert evaluate_selection(dev, SelectionConfig(cell.alpha, cell.theta)) == expected
         # theta 0 keeps every candidate; a trigger that several of them parse counts once
         distinct = sum(len({t for c in cl.candidates for t in c.triggers}) for _, cl in dev)
         parsed = sum(len(c.triggers) for _, cl in dev for c in cl.candidates)

@@ -2,7 +2,9 @@
 
 The oracles here deliberately reimplement behavior from scratch (pure
 python, no calls into the code under test) so the tests cross-check two
-routes to the same answer.
+routes to the same answer. The one exception, per_cell_report, is the
+per-doc library route (one cell, one doc at a time) that the grid sweep,
+which scores every cell of a doc in one pass, must agree with.
 """
 
 from __future__ import annotations
@@ -13,6 +15,9 @@ import string
 from collections import Counter
 
 from evex.events import ArgumentPair, ContextInstance, EventFrame, Ontology, Trigger
+from evex.generation import CandidateList, frames_from_cache
+from evex.metrics import EvalReport, evaluate_corpus
+from evex.selector import SelectionConfig, fuse_and_select
 
 SAFE_CHARS = string.ascii_lowercase + "-'"
 
@@ -84,6 +89,19 @@ def oracle_fuse_select(
     q = oracle_softmax(beam_scores)
     fused = [alpha * pi + (1 - alpha) * qi for pi, qi in zip(p, q)]
     return fused, {i for i, f in enumerate(fused) if f > theta}
+
+
+def per_cell_report(dev: list[tuple[ContextInstance, CandidateList]], alpha: float, theta: float) -> EvalReport:
+    """The report of one (alpha, theta) cell, one doc at a time: each doc's
+    triggers from fuse_and_select over its cached rank scores, their frames
+    from the argument cache, and the split counted by evaluate_corpus. The
+    oracle of tuning.sweep_selection, which scores all cells of a doc at once."""
+    cfg = SelectionConfig(alpha, theta)
+    predictions = [
+        (instance.doc_id, frames_from_cache(candidates, fuse_and_select(candidates, scorer=None, cfg=cfg)))
+        for instance, candidates in dev
+    ]
+    return evaluate_corpus(predictions, [instance for instance, _ in dev])
 
 
 def _subtask_items(frames: list[EventFrame], subtask: str) -> list[tuple]:
