@@ -56,8 +56,10 @@ from .generation import (
     attach_argument_cache,
     candidate_list_from_dict,
     candidate_list_to_dict,
+    clear_memos,
     frames_from_cache,
     generate_trigger_candidates,
+    parse_hypothesis,
 )
 from .metrics import TRIG_C, evaluate_corpus
 from .selector import (
@@ -192,7 +194,7 @@ def _build_backend(cfg: RunConfig) -> ScriptedBackend:
 def _read_candidates(run_dir: Path, cfg: RunConfig, split: str) -> list[CandidateList]:
     """The split's candidate lists, one per doc: a file without rows or with a repeated doc_id is a data error."""
     path = _require(run_dir / f"candidates.{split}.jsonl", f"gen-candidates on {split}")
-    convert = partial(candidate_list_from_dict, codec_cfg=cfg.codec, parsed={})  # one parse memo per read
+    convert = partial(candidate_list_from_dict, codec_cfg=cfg.codec)
     lists = artifacts.read_jsonl(path, cfg.hash, convert=convert)
     if not lists:
         raise DataError(f"{path} holds no candidate lists")
@@ -233,6 +235,7 @@ def cmd_gen_candidates(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) 
         log.warning("%s: %d load problem(s), see load_report.%s.json", path, len(loaded.problems), split)
     lists: list[CandidateList] = []
     warning_kinds: Counter[str] = Counter()
+    before = parse_hypothesis.cache_info()  # the log line counts this split's memo calls and misses
     for instance in loaded.instances:
         try:
             candidates, warnings = generate_trigger_candidates(
@@ -253,10 +256,13 @@ def cmd_gen_candidates(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) 
         {"artifact": "candidates", "split": split, "config_hash": cfg.hash},
     )
     by_kind = ", ".join(f"{kind}: {count}" for kind, count in sorted(warning_kinds.items()))
+    after = parse_hypothesis.cache_info()
     log.info(
-        "gen-candidates[%s]: %d contexts, %d parse warning(s)%s",
+        "gen-candidates[%s]: %d contexts, %d hypotheses, %d parsed, %d parse warning(s)%s",
         split,
         len(lists),
+        after.hits + after.misses - before.hits - before.misses,
+        after.misses - before.misses,
         warning_kinds.total(),
         f" ({by_kind})" if by_kind else "",
     )
@@ -522,6 +528,7 @@ def main(argv: list[str] | None = None) -> int:
             _setup_logging(run_dir)
         except OSError as exc:
             raise ConfigError(f"cannot use run dir {run_dir}: {exc}") from exc
+        clear_memos()  # a stage parses from cold, as in a fresh process, however many ran before it here
         COMMANDS[args.command](cfg, run_dir, args)
     except (ConfigError, MissingArtifactError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)

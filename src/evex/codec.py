@@ -18,7 +18,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .events import ArgumentPair, EventFrame, Ontology, Trigger, matches_token, normalize_ws
+from .events import (
+    ArgumentPair, EventFrame, Ontology, Trigger, intern_pair, intern_trigger, matches_token, normalize_ws
+)
 
 # the final "[Type]" token of a segment; everything before it is the word
 _TRIGGER_SEGMENT_RE = re.compile(r"^(?P<word>.*\S)\s*\[\s*(?P<type>[^\[\]]+?)\s*\]$")
@@ -110,7 +112,7 @@ def decode_trigger_candidate(text: str, cfg: CodecConfig) -> tuple[list[Trigger]
             continue
         word, event_type = m.group("word"), m.group("type")
         try:
-            triggers.append(Trigger(word, event_type))
+            triggers.append(intern_trigger(word, event_type))
         except ValueError:  # the word holds a non-space, so the type holds whitespace
             warnings.append(f"event type contains whitespace: {event_type!r}")
     return triggers, warnings
@@ -152,7 +154,7 @@ def decode_argument_output(text: str, cfg: CodecConfig) -> tuple[list[ArgumentPa
             if cfg.is_placeholder(entity):
                 continue
             try:
-                pairs.append(ArgumentPair(role, entity))
+                pairs.append(intern_pair(role, entity))
             except ValueError as exc:
                 warnings.append(f"invalid argument pair: role {role!r}: {exc}")
         return ""

@@ -29,7 +29,7 @@ from .codec import (
     encode_argument_target,
     encode_trigger_target,
 )
-from .events import ArgumentPair, ContextInstance, EventFrame, Ontology, Trigger
+from .events import ContextInstance, EventFrame, Ontology, intern_pair, intern_trigger
 
 TASK_TRIGGER = "trigger"
 TASK_ARGUMENT = "argument"
@@ -67,8 +67,8 @@ class LoadResult:
 
 def frame_from_dict(raw: dict) -> EventFrame:
     trig = raw["trigger"]
-    trigger = Trigger(word=trig["word"], event_type=trig["type"])
-    args = tuple(ArgumentPair(a["role"], a["entity"]) for a in raw.get("arguments", []))
+    trigger = intern_trigger(trig["word"], trig["type"])
+    args = tuple(intern_pair(a["role"], a["entity"]) for a in raw.get("arguments", []))
     return EventFrame(trigger, args)
 
 

@@ -10,6 +10,9 @@ downstream equality checks are plain string comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+
+MEMO_SIZE = 2**14  # entries per parse memo; cli.main empties the memos as a stage starts
 
 
 def normalize_ws(text: str) -> str:
@@ -65,6 +68,18 @@ class ArgumentPair:
             raise ValueError("argument entity must be nonempty")
         object.__setattr__(self, "role", role)
         object.__setattr__(self, "entity", entity)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def intern_trigger(word: str, event_type: str) -> Trigger:
+    """Trigger(word, event_type), built once per distinct raw value the memo holds."""
+    return Trigger(word, event_type)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def intern_pair(role: str, entity: str) -> ArgumentPair:
+    """ArgumentPair(role, entity), built once per distinct raw value the memo holds."""
+    return ArgumentPair(role, entity)
 
 
 @dataclass(frozen=True)

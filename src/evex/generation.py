@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 from .codec import (
     CodecConfig,
@@ -20,7 +21,8 @@ from .codec import (
     decode_trigger_candidate,
 )
 from .corpus import TrainingPair
-from .events import ArgumentPair, ContextInstance, EventFrame, Trigger, is_number, matches_token
+from .events import ArgumentPair, ContextInstance, EventFrame, Trigger, is_number, matches_token, normalize_ws
+from .events import MEMO_SIZE, intern_pair, intern_trigger  # the leaf memos, emptied with parse_hypothesis
 
 
 class BackendError(RuntimeError):
@@ -127,6 +129,22 @@ class ScriptedBackend:
         return hypotheses[0][0] if hypotheses else ""
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def parse_hypothesis(text: str, codec_cfg: CodecConfig) -> tuple[str, tuple[Trigger, ...], tuple[str, ...], bool]:
+    """A hypothesis's normalized text, triggers, parse warnings, and whether it is kept: one
+    parsing to no triggers is dropped unless it is the explicit empty token (the "no event"
+    candidate). Parsed once per distinct text the memo holds."""
+    triggers, warnings = decode_trigger_candidate(text, codec_cfg)
+    kept = bool(triggers) or matches_token(text, codec_cfg.empty_token)
+    return normalize_ws(text), tuple(triggers), tuple(warnings), kept
+
+
+def clear_memos() -> None:
+    """Empty the parse memos: parse_hypothesis, intern_trigger and intern_pair."""
+    for memo in (parse_hypothesis, intern_trigger, intern_pair):
+        memo.cache_clear()
+
+
 def generate_trigger_candidates(
     backend: ScriptedBackend,
     instance: ContextInstance,
@@ -135,10 +153,9 @@ def generate_trigger_candidates(
 ) -> tuple[CandidateList, list[str]]:
     """Beam-generate and parse trigger candidates for one context.
 
-    Hypotheses parsing to no triggers are dropped unless they are the
-    explicit empty token (kept as the "no event" candidate). Candidates with
-    identical parsed trigger multisets are deduplicated keeping the highest
-    beam score.
+    Hypotheses are parsed and kept or dropped by parse_hypothesis. Candidates
+    with identical parsed trigger multisets are deduplicated keeping the
+    highest beam score.
     """
     prompt = build_trigger_prompt(instance.context, codec_cfg)
     try:
@@ -149,11 +166,11 @@ def generate_trigger_candidates(
     warnings: list[str] = []
     best: dict[tuple, TriggerCandidate] = {}
     for text, score in hypotheses:
-        triggers, parse_warnings = decode_trigger_candidate(text, codec_cfg)
+        raw_text, triggers, parse_warnings, kept = parse_hypothesis(text, codec_cfg)
         warnings.extend(f"doc {instance.doc_id}: {w}" for w in parse_warnings)
-        if not triggers and not matches_token(text, codec_cfg.empty_token):
+        if not kept:
             continue
-        candidate = TriggerCandidate(raw_text=" ".join(text.split()), triggers=tuple(triggers), beam_score=float(score))
+        candidate = TriggerCandidate(raw_text=raw_text, triggers=triggers, beam_score=float(score))
         key = candidate.trigger_key()
         if key not in best or candidate.beam_score > best[key].beam_score:
             best[key] = candidate
@@ -220,21 +237,16 @@ def candidate_list_to_dict(cl: CandidateList) -> dict:
     }
 
 
-def candidate_list_from_dict(
-    raw: dict, codec_cfg: CodecConfig, parsed: dict[str, tuple[Trigger, ...]]
-) -> CandidateList:
+def candidate_list_from_dict(raw: dict, codec_cfg: CodecConfig) -> CandidateList:
     """The inverse of candidate_list_to_dict. Each candidate's triggers are decoded
-    from its raw text, stored whitespace-normalized as the decoder reads it, so they
-    equal the generated parse; parsed memoizes raw text -> triggers across the rows
-    of one read."""
-    candidates = []
-    for c in raw["candidates"]:
-        text = c["raw_text"]
-        if text not in parsed:
-            parsed[text] = tuple(decode_trigger_candidate(text, codec_cfg)[0])
-        candidates.append(TriggerCandidate(text, parsed[text], float(c["beam_score"])))
+    from its raw text (parse_hypothesis), stored whitespace-normalized as the decoder
+    reads it, so they equal the generated parse."""
+    candidates = [
+        TriggerCandidate(c["raw_text"], parse_hypothesis(c["raw_text"], codec_cfg)[1], float(c["beam_score"]))
+        for c in raw["candidates"]
+    ]
     arguments = {
-        word: tuple(ArgumentPair(p["role"], p["entity"]) for p in pairs)
+        word: tuple(intern_pair(p["role"], p["entity"]) for p in pairs)
         for word, pairs in raw.get("arguments", {}).items()
     }
     return CandidateList(raw["doc_id"], raw["context"], candidates, arguments)

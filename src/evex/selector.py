@@ -144,6 +144,8 @@ class HashedNgramScorer:
             raise ValueError("dim must be positive")
         if any(n < 1 for n in self.word_ngrams + self.char_ngrams):
             raise ValueError("n-gram lengths must be positive")
+        if not self.word_ngrams + self.char_ngrams:  # no feature at all: every score the same constant
+            raise ValueError("at least one n-gram length is needed, in word_ngrams or char_ngrams")
         self.weights = np.zeros(self.dim, dtype=np.float64)
         # (context, text) -> FeatureRow of _hinge; rows never depend on the weights
         self._table: dict[tuple[str, str], FeatureRow] = {}
@@ -220,22 +222,26 @@ class HashedNgramScorer:
         hashed indices it touches and their values: the one hinge pass, under
         loss_and_grad and train_step.
 
-        Scores come from feature rows (an item's rows missing from the table are
-        built in one _rows batch and kept), the loss is summed item by item, and
+        Scores come from feature rows (the batch's rows missing from the table are
+        built in one _rows call per context and kept), the loss is summed item by item, and
         the subgradient at a hinge kink is taken as zero (a term only contributes
         when strictly positive). The subgradient is a sum of integer counts,
         exact in any order, so it is accumulated per index with bincount.
         """
         weights, table = self.weights, self._table
+        missing: dict[str, dict[str, None]] = {}  # context -> its texts without a row, in first-seen order
+        for context, positive, negatives in batch:
+            for text in (positive, *negatives):
+                if (context, text) not in table:
+                    missing.setdefault(context, {})[text] = None
+        for context, texts in missing.items():  # one _rows batch per context
+            idx, cnt, cuts = self._rows(context, list(texts))
+            cnt = cnt.astype(np.float32)
+            table.update({(context, text): (idx[s:e], cnt[s:e]) for text, s, e in zip(texts, cuts, cuts[1:])})
         loss = 0.0
         idx_parts: list[np.ndarray] = []
         val_parts: list[np.ndarray] = []
         for context, positive, negatives in batch:
-            missing = [text for text in dict.fromkeys((positive, *negatives)) if (context, text) not in table]
-            if missing:  # the item's new rows, in one batch
-                idx, cnt, cuts = self._rows(context, missing)
-                cnt = cnt.astype(np.float32)
-                table.update({(context, text): (idx[s:e], cnt[s:e]) for text, s, e in zip(missing, cuts, cuts[1:])})
             pos_idx, pos_cnt = table[context, positive]
             pos_score = float(weights[pos_idx] @ pos_cnt)
             for negative in negatives:

@@ -42,10 +42,10 @@ def test_read_jsonl_converts_each_row_and_still_warns(tmp_path, caplog):
     path = tmp_path / "candidates.test.jsonl"
     stored = artifacts.read_meta(path)["config_hash"]
 
-    want = [candidate_list_from_dict(r, CodecConfig(), {}) for r in artifacts.read_jsonl(path, stored)]
+    want = [candidate_list_from_dict(r, CodecConfig()) for r in artifacts.read_jsonl(path, stored)]
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="evex"):
-        convert = partial(candidate_list_from_dict, codec_cfg=CodecConfig(), parsed={})
+        convert = partial(candidate_list_from_dict, codec_cfg=CodecConfig())
         assert artifacts.read_jsonl(path, stored, convert=convert) == want
         assert not caplog.records
         assert artifacts.read_jsonl(path, "0" * 16, convert=convert) == want

@@ -3,6 +3,7 @@ import io
 import json
 import logging
 import math
+import re
 import subprocess
 import sys
 from functools import partial
@@ -10,11 +11,13 @@ from pathlib import Path
 
 import pytest
 
+from evex import cli
 from evex.artifacts import read_json, read_jsonl
 from evex.cli import MODEL_DIGEST_KEY, build_parser, load_config, main
 from evex.codec import CodecConfig, build_trigger_prompt, encode_trigger_target
 from evex.corpus import load_corpus
-from evex.generation import candidate_list_from_dict
+from evex.events import intern_pair, intern_trigger
+from evex.generation import candidate_list_from_dict, parse_hypothesis
 from evex.selector import kept_mask
 from evex.synthetic import build_demo_run, make_synthetic_corpus
 from evex.tuning import GridCell, write_score_table
@@ -77,6 +80,7 @@ def test_bad_config_exits_2(tmp_path):
         ("tuning", [["metric", "trig_i"]]),
         ("selector_train", {"learning_rate": math.nan}),
         ("selector_train", {"learning_rate": math.inf}),
+        ("scorer", {"word_ngrams": [], "char_ngrams": []}),
     ],
     ids=[
         "theta_grid_1.5", "alpha_grid_negative", "alpha_grids_typo", "dims_typo", "dim_string", "include_emptyy_typo",
@@ -84,6 +88,7 @@ def test_bad_config_exits_2(tmp_path):
         "dim_float", "beam_width_float", "epochs_float",
         "script_int", "script_list", "script_inline", "script_missing", "selecton_typo", "pairs_list",
         "pairs_section", "scorer_list", "tuning_list", "learning_rate_nan", "learning_rate_inf",
+        "no_ngram_length",
     ],
 )
 def test_bad_config_section_exits_2_before_any_stage(tmp_path, capsys, section, value):
@@ -249,6 +254,27 @@ def test_run_log_length_does_not_grow_with_parse_warnings(tmp_path):
         assert f"{kind}: " in logs[1]
 
 
+def test_each_stage_starts_with_empty_parse_memos(tmp_path, monkeypatch):
+    """Two gen-candidates stages in one process: the second parses every distinct text
+    again, as a fresh process would, and its run.log line reads as the first's."""
+    cfg = build_demo_run(tmp_path, seed=9, noisy=True)
+    memos = (parse_hypothesis, intern_trigger, intern_pair)
+    sizes = []
+    command = cli.COMMANDS["gen-candidates"]
+    monkeypatch.setitem(
+        cli.COMMANDS, "gen-candidates", lambda *a: (sizes.append([m.cache_info().currsize for m in memos]), command(*a))
+    )
+    assert run(["preprocess", "--config", cfg, "--run-dir", tmp_path]) == 0
+    for _ in range(2):
+        assert run(["gen-candidates", "--config", cfg, "--run-dir", tmp_path, "--split", "test"]) == 0
+        assert all(m.cache_info().currsize for m in memos)
+    assert sizes == [[0] * len(memos)] * 2
+    lines = [line.partition(" INFO ")[2] for line in (tmp_path / "run.log").read_text().splitlines()]
+    summaries = [line for line in lines if line.startswith("gen-candidates[test]")]
+    hypotheses, parsed = map(int, re.search(r"(\d+) hypotheses, (\d+) parsed", summaries[0]).groups())
+    assert summaries[0] == summaries[1] and 0 < parsed < hypotheses
+
+
 def test_stagewise_run_matches_pipeline(tmp_path):
     cfg = build_demo_run(tmp_path / "staged", seed=6)
     rd = tmp_path / "staged"
@@ -283,7 +309,7 @@ def add_joined_hypotheses(run_dir: Path, seed: int) -> int:
 
 
 def read_candidates(run_dir: Path, split: str) -> list:
-    convert = partial(candidate_list_from_dict, codec_cfg=CodecConfig(), parsed={})
+    convert = partial(candidate_list_from_dict, codec_cfg=CodecConfig())
     return read_jsonl(run_dir / f"candidates.{split}.jsonl", convert=convert)
 
 
@@ -579,6 +605,18 @@ def without(key):
     return lambda raw: {k: v for k, v in raw.items() if k != key}
 
 
+def one_event(word="w", type="T", role="R", entity="e"):
+    """A predictions row edit: its events become one event of these values."""
+    return lambda raw: {**raw, "events": [
+        {"trigger": {"word": word, "type": type}, "arguments": [{"role": role, "entity": entity}]}
+    ]}
+
+
+def one_argument(role="R", entity="e"):
+    """A candidates row edit: its cached arguments become one pair of these values."""
+    return lambda raw: {**raw, "arguments": {"w": [{"role": role, "entity": entity}]}}
+
+
 # test id -> (command, artifact, damage): a file cut short, or one that parses but does not fit its reader
 DAMAGED_ARTIFACTS = {
     "predict-selector.model": ("predict", "selector.model", cut_mid_line),
@@ -598,6 +636,13 @@ DAMAGED_ARTIFACTS = {
     "predictions-meta-number": ("evaluate", "predictions.jsonl", rewrite(lambda raw: {"__meta__": 3}, line=0)),
     "pairs-row-no-task": ("gen-candidates", "pairs.jsonl", rewrite(without("task"), line=1)),
     "candidates-row-no-doc_id": ("predict", "candidates.test.jsonl", rewrite(without("doc_id"), line=1)),
+    # a JSON list or object where a string belongs: the parse memos cannot hash it
+    "predictions-trigger-word-list": ("evaluate", "predictions.jsonl", rewrite(one_event(word=["w"]), line=1)),
+    "predictions-event-type-object": ("evaluate", "predictions.jsonl", rewrite(one_event(type={"T": 1}), line=1)),
+    "predictions-role-list": ("evaluate", "predictions.jsonl", rewrite(one_event(role=["R"]), line=1)),
+    "predictions-entity-object": ("evaluate", "predictions.jsonl", rewrite(one_event(entity={"e": 1}), line=1)),
+    "candidates-role-list": ("predict", "candidates.test.jsonl", rewrite(one_argument(role=["R"]), line=1)),
+    "candidates-entity-object": ("predict", "candidates.test.jsonl", rewrite(one_argument(entity={"e": 1}), line=1)),
 }
 
 

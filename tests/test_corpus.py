@@ -57,10 +57,21 @@ def test_load_missing_events_is_negative_context(tmp_path):
 
 def test_load_reports_bad_lines_with_numbers(tmp_path):
     good = json.dumps({"doc_id": "d", "context": "ok ."})
-    result = load_corpus(write_lines(tmp_path, ["{oops", good, json.dumps({"context": "no id"})]))
+    # a JSON list or object where a string belongs, in each field a parse memo keys on
+    ill_typed = [
+        json.dumps({"doc_id": f"x{i}", "context": "w e .", "events": [{"trigger": trigger, "arguments": [argument]}]})
+        for i, (trigger, argument) in enumerate([
+            ({"word": ["w"], "type": "T"}, {"role": "R", "entity": "e"}),
+            ({"word": "w", "type": {"T": 1}}, {"role": "R", "entity": "e"}),
+            ({"word": "w", "type": "T"}, {"role": ["R"], "entity": "e"}),
+            ({"word": "w", "type": "T"}, {"role": "R", "entity": {"e": 1}}),
+        ])
+    ]
+    result = load_corpus(write_lines(tmp_path, ["{oops", good, json.dumps({"context": "no id"}), *ill_typed]))
     assert len(result.instances) == 1
     lines = sorted(p.line for p in result.problems)
-    assert lines == [1, 3]
+    assert lines == [1, 3, 4, 5, 6, 7]
+    assert all("malformed instance: unhashable type" in p.message for p in result.problems[2:])
 
 
 def test_load_skips_and_reports_repeated_doc_id(tmp_path):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 from evex import cli
 from evex.cli import SECTIONS, load_config
+from evex.events import MEMO_SIZE
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -30,3 +31,8 @@ def test_readme_lists_the_artifacts_of_the_cli_table():
     table = {name for row in rows for name in row.split(" / ")}
     assert readme == table
     assert "selector.model" in table and "load_report.{split}.json" in table
+
+
+def test_readme_states_the_parse_memo_bound():
+    stated = re.search(r"at most `events.MEMO_SIZE` = ([\d,]+) entries", README).group(1)
+    assert int(stated.replace(",", "")) == MEMO_SIZE

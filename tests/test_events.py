@@ -7,6 +7,8 @@ from evex.events import (
     ContextInstance,
     EventFrame,
     Trigger,
+    intern_pair,
+    intern_trigger,
     ontology_from_corpus,
 )
 
@@ -24,6 +26,24 @@ def test_trigger_normalizes_whitespace():
 def test_trigger_rejects_bad_fields(word, etype):
     with pytest.raises(ValueError):
         Trigger(word, etype)
+
+
+@pytest.mark.parametrize(
+    "intern, direct, raw",
+    [
+        (intern_trigger, Trigger, ("  went \t home ", " Movement_Transport")),
+        (intern_pair, ArgumentPair, (" Place", "the  bridge ")),
+    ],
+)
+def test_interned_value_equals_the_direct_one_and_repeats_as_one_object(intern, direct, raw):
+    value = intern(*raw)
+    assert type(value) is direct and value == direct(*raw)
+    assert intern(*raw) is value
+    for _ in range(2):  # a bad raw value raises on every call: the memo keeps no failure
+        with pytest.raises(ValueError):
+            intern(raw[0], "")
+        with pytest.raises(TypeError):  # unhashable, refused before any validation
+            intern(raw[0], ["a list"])
 
 
 def test_argument_pair_rejects_empty_fields():

@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from evex.codec import CodecConfig, build_argument_prompt, build_trigger_prompt
+from evex.codec import CodecConfig, build_argument_prompt, build_trigger_prompt, decode_trigger_candidate
 from evex.corpus import TASK_TRIGGER, TrainingPair
-from evex.events import ArgumentPair, ContextInstance, EventFrame, Trigger
+from evex.events import MEMO_SIZE, ArgumentPair, ContextInstance, EventFrame, Trigger, intern_pair, intern_trigger
 from evex.generation import (
     BackendError,
     GenerationConfig,
@@ -13,9 +13,11 @@ from evex.generation import (
     attach_argument_cache,
     candidate_list_from_dict,
     candidate_list_to_dict,
+    clear_memos,
     frames_from_cache,
     generate_arguments,
     generate_trigger_candidates,
+    parse_hypothesis,
 )
 
 CFG = CodecConfig()
@@ -182,7 +184,7 @@ def test_candidate_list_dict_roundtrip():
     raw = candidate_list_to_dict(lists.with_rank_scores([0.5, -0.5]))
     # the stored form holds no parse and no rank score: those come from the codec and rank_scores.*
     assert all(set(c) == {"raw_text", "beam_score"} for c in raw["candidates"])
-    assert candidate_list_from_dict(raw, CFG, {}) == lists
+    assert candidate_list_from_dict(raw, CFG) == lists
 
 
 def test_wide_beam_dict_roundtrip_decodes_the_generated_parse():
@@ -204,8 +206,39 @@ def test_wide_beam_dict_roundtrip_decodes_the_generated_parse():
     texts = ["a [T] [and] b [U]", "c [T]", "d [T] [and] e [Bad Type]", "[ None ]"]
     assert [c.raw_text for c in generated.candidates] == texts
     assert generated.candidates[2].triggers == (Trigger("d", "T"),)
-    parsed = {}
     raw = json.loads(json.dumps(candidate_list_to_dict(generated)))
-    assert candidate_list_from_dict(raw, CFG, parsed) == generated
-    assert candidate_list_from_dict(raw, CFG, parsed) == generated  # from the memo this time
-    assert set(parsed) == {c.raw_text for c in generated.candidates}
+    clear_memos()
+    assert candidate_list_from_dict(raw, CFG) == generated
+    assert candidate_list_from_dict(raw, CFG) == generated  # from the memo this time
+    memo = parse_hypothesis.cache_info()
+    assert memo.misses == memo.hits == len(generated.candidates)
+
+
+@pytest.mark.parametrize(
+    "text, kept",
+    [
+        ("a [T] [and]  b [U]", True),
+        ("[ None ]", True),
+        ("noise", False),
+        ("e [Bad Type]", False),
+        ("d [T] [and] e [X Y]", True),
+    ],
+)
+def test_parse_hypothesis_is_the_decoders_parse_once_per_text(text, kept):
+    clear_memos()
+    triggers, warnings = decode_trigger_candidate(text, CFG)
+    parsed = parse_hypothesis(text, CFG)
+    assert parsed == (" ".join(text.split()), tuple(triggers), tuple(warnings), kept)
+    assert parse_hypothesis(text, CFG) is parsed
+    assert parse_hypothesis.cache_info().misses == 1
+
+
+def test_parse_memos_are_bounded():
+    memos = (parse_hypothesis, intern_trigger, intern_pair)
+    assert [m.cache_info().maxsize for m in memos] == [MEMO_SIZE] * len(memos)
+    clear_memos()
+    for i in range(MEMO_SIZE + 5):
+        parse_hypothesis(f"w{i} [T]", CFG)
+    assert parse_hypothesis.cache_info().currsize == intern_trigger.cache_info().currsize == MEMO_SIZE
+    clear_memos()
+    assert [m.cache_info().currsize for m in memos] == [0] * len(memos)

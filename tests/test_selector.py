@@ -322,6 +322,9 @@ def test_scorer_rejects_nonpositive_ngram_length():
         HashedNgramScorer(dim=64, word_ngrams=(0, 1))
     with pytest.raises(ValueError, match="n-gram"):
         HashedNgramScorer(dim=64, char_ngrams=(-1,))
+    with pytest.raises(ValueError, match="n-gram"):  # no feature at all: every score would be 0
+        HashedNgramScorer(dim=64, word_ngrams=(), char_ngrams=())
+    HashedNgramScorer(dim=64, word_ngrams=(), char_ngrams=(3,))  # one empty family is fine
 
 
 def test_scores_follow_weight_changes_after_memoised_scoring():
@@ -457,6 +460,19 @@ def test_train_selector_matches_dict_reference():
             assert got.loss_per_epoch == want.loss_per_epoch
             assert np.array_equal(ours.weights, reference.weights)
         assert np.count_nonzero(ours.weights) > 0
+
+
+def test_hinge_builds_a_contexts_missing_rows_in_one_call(monkeypatch):
+    """A batch of 3 items over one context (3 gold triggers) builds its rows in one _rows call."""
+    scorer, want = HashedNgramScorer(dim=2**10), DictUpdateScorer(dim=2**10)
+    calls = []
+    rows = scorer._rows
+    monkeypatch.setattr(scorer, "_rows", lambda context, texts: (calls.append(list(texts)), rows(context, texts))[1])
+    batch = [("a b c", positive, ["x [T]", "y [U]"]) for positive in ("a [T]", "b [T]", "c [U]")]
+    for _ in range(2):  # the second step reads every row from the table
+        assert scorer.train_step(batch, 0.5, 0.1) == want.train_step(batch, 0.5, 0.1)
+    assert calls == [["a [T]", "x [T]", "y [U]", "b [T]", "c [U]"]]
+    assert np.array_equal(scorer.weights, want.weights)
 
 
 def test_train_selector_all_gold_candidates_is_untrainable():
