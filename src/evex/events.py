@@ -95,13 +95,7 @@ class EventFrame:
     arguments: tuple[ArgumentPair, ...] = ()
 
     def __post_init__(self) -> None:
-        deduped: list[ArgumentPair] = []
-        seen: set[ArgumentPair] = set()
-        for pair in self.arguments:
-            if pair not in seen:
-                seen.add(pair)
-                deduped.append(pair)
-        object.__setattr__(self, "arguments", tuple(deduped))
+        object.__setattr__(self, "arguments", tuple(dict.fromkeys(self.arguments)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EventFrame):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from operator import itemgetter
 
 from .codec import (
     CodecConfig,
@@ -66,8 +67,8 @@ class TriggerCandidate:
 class CandidateList:
     """Candidates of one context, sorted by beam score descending.
 
-    arguments_by_word caches greedy argument predictions per trigger word so
-    that selection sweeps never have to call the backend again.
+    arguments_by_word caches the greedy argument pairs of each trigger word, so that selection
+    sweeps never call the backend again; a word whose greedy output held no pair is absent.
     """
 
     doc_id: str
@@ -104,12 +105,15 @@ class ScriptedBackend:
             raise TypeError(f"backend script must map inputs to hypothesis lists, got {type(script).__name__}")
         self._script: dict[str, list[tuple[str, float]]] = {}
         for input_text, hypotheses in (script or {}).items():
-            if not isinstance(hypotheses, list) or not all(
-                isinstance(h, (list, tuple)) and len(h) == 2 and isinstance(h[0], str) and is_number(h[1])
-                and math.isfinite(h[1]) for h in hypotheses
-            ):
+            checked = [
+                (h[0], float(h[1])) for h in hypotheses
+                if isinstance(h, (list, tuple)) and len(h) == 2 and isinstance(h[0], str) and is_number(h[1])
+                and math.isfinite(h[1])
+            ] if isinstance(hypotheses, list) else None
+            if checked is None or len(checked) != len(hypotheses):
                 raise ValueError(f"scripted hypotheses must be a list of (text, finite score) pairs: {input_text!r}")
-            self._script[input_text] = sorted(((t, float(s)) for t, s in hypotheses), key=lambda ts: -ts[1])
+            checked.sort(key=itemgetter(1), reverse=True)  # stable: equal scores keep script order
+            self._script[input_text] = checked
 
     def fit(self, pairs: list[TrainingPair]) -> None:
         memorized: dict[str, list[str]] = {}
@@ -199,19 +203,18 @@ def attach_argument_cache(
     candidate_list: CandidateList,
     codec_cfg: CodecConfig,
 ) -> tuple[CandidateList, list[str]]:
-    """Generate and cache arguments for every distinct candidate trigger word."""
+    """Generate arguments once per distinct candidate trigger word; cache the words that got a pair."""
     warnings: list[str] = []
     args_by_word: dict[str, tuple[ArgumentPair, ...]] = {}
     for candidate in candidate_list.candidates:
         for trigger in candidate.triggers:
             if trigger.word in args_by_word:
                 continue
-            pairs, arg_warnings = generate_arguments(
-                backend, candidate_list.context, trigger, codec_cfg
-            )
+            pairs, arg_warnings = generate_arguments(backend, candidate_list.context, trigger, codec_cfg)
             warnings.extend(f"doc {candidate_list.doc_id}: {w}" for w in arg_warnings)
             args_by_word[trigger.word] = tuple(pairs)
-    return replace(candidate_list, arguments_by_word=args_by_word), warnings
+    cached = {word: pairs for word, pairs in args_by_word.items() if pairs}
+    return replace(candidate_list, arguments_by_word=cached), warnings
 
 
 def frames_from_cache(candidate_list: CandidateList, triggers: list[Trigger]) -> list[EventFrame]:
@@ -225,28 +228,31 @@ def frames_from_cache(candidate_list: CandidateList, triggers: list[Trigger]) ->
 
 
 def candidate_list_to_dict(cl: CandidateList) -> dict:
-    """The stored form: each candidate's raw text and beam score, no parse (the codec redoes it)."""
+    """The stored form: each candidate as [raw_text, beam_score] (no parse: the codec redoes it),
+    each cached argument as [role, entity]."""
     return {
         "doc_id": cl.doc_id,
         "context": cl.context,
-        "candidates": [{"raw_text": c.raw_text, "beam_score": c.beam_score} for c in cl.candidates],
-        "arguments": {
-            word: [{"role": p.role, "entity": p.entity} for p in pairs]
-            for word, pairs in cl.arguments_by_word.items()
-        },
+        "candidates": [[c.raw_text, c.beam_score] for c in cl.candidates],
+        "arguments": {word: [[p.role, p.entity] for p in pairs] for word, pairs in cl.arguments_by_word.items()},
     }
+
+
+def _stored_pair(entry: object, second: tuple[type, ...], names: str) -> list:
+    """A stored entry, checked: a JSON array of two items, a string then a value of a `second` type."""
+    if type(entry) is not list or len(entry) != 2 or type(entry[0]) is not str or type(entry[1]) not in second:
+        raise ValueError(f"expected a [{names}] array, got {entry!r}")
+    return entry
 
 
 def candidate_list_from_dict(raw: dict, codec_cfg: CodecConfig) -> CandidateList:
     """The inverse of candidate_list_to_dict. Each candidate's triggers are decoded
     from its raw text (parse_hypothesis), stored whitespace-normalized as the decoder
     reads it, so they equal the generated parse."""
-    candidates = [
-        TriggerCandidate(c["raw_text"], parse_hypothesis(c["raw_text"], codec_cfg)[1], float(c["beam_score"]))
-        for c in raw["candidates"]
-    ]
+    stored = (_stored_pair(c, (int, float), "raw_text, beam_score") for c in raw["candidates"])
+    candidates = [TriggerCandidate(text, parse_hypothesis(text, codec_cfg)[1], float(s)) for text, s in stored]
     arguments = {
-        word: tuple(intern_pair(p["role"], p["entity"]) for p in pairs)
+        word: tuple(intern_pair(*_stored_pair(p, (str,), "role, entity")) for p in pairs)
         for word, pairs in raw.get("arguments", {}).items()
     }
     return CandidateList(raw["doc_id"], raw["context"], candidates, arguments)

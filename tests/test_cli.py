@@ -612,9 +612,14 @@ def one_event(word="w", type="T", role="R", entity="e"):
     ]}
 
 
+def one_entry(key, entry):
+    """A candidates row edit: its candidates, or its cached arguments (of word "w"), become this one entry."""
+    return lambda raw: {**raw, key: [entry] if key == "candidates" else {"w": [entry]}}
+
+
 def one_argument(role="R", entity="e"):
-    """A candidates row edit: its cached arguments become one pair of these values."""
-    return lambda raw: {**raw, "arguments": {"w": [{"role": role, "entity": entity}]}}
+    """A candidates row edit: its cached arguments become one [role, entity] pair of these values."""
+    return one_entry("arguments", [role, entity])
 
 
 # test id -> (command, artifact, damage): a file cut short, or one that parses but does not fit its reader
@@ -643,6 +648,15 @@ DAMAGED_ARTIFACTS = {
     "predictions-entity-object": ("evaluate", "predictions.jsonl", rewrite(one_event(entity={"e": 1}), line=1)),
     "candidates-role-list": ("predict", "candidates.test.jsonl", rewrite(one_argument(role=["R"]), line=1)),
     "candidates-entity-object": ("predict", "candidates.test.jsonl", rewrite(one_argument(entity={"e": 1}), line=1)),
+    # a candidate that is not [raw_text, beam_score], an argument that is not [role, entity]
+    "candidates-candidate-string": ("predict", "candidates.test.jsonl", rewrite(one_entry("candidates", "a1"), line=1)),
+    "candidates-candidate-3-items": (
+        "predict", "candidates.test.jsonl", rewrite(one_entry("candidates", ["w [T]", -0.5, 0.0]), line=1)
+    ),
+    "candidates-argument-object": (
+        "predict", "candidates.test.jsonl", rewrite(one_entry("arguments", {"role": "R", "entity": "e"}), line=1)
+    ),
+    "candidates-argument-string": ("predict", "candidates.test.jsonl", rewrite(one_entry("arguments", "RE"), line=1)),
 }
 
 

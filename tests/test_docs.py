@@ -1,11 +1,15 @@
 """README's run-config and artifact text against the code, so the two cannot drift apart."""
 
+import json
 import re
 from pathlib import Path
 
 from evex import cli
+from evex.artifacts import write_jsonl
 from evex.cli import SECTIONS, load_config
-from evex.events import MEMO_SIZE
+from evex.codec import CodecConfig
+from evex.events import MEMO_SIZE, ArgumentPair, Trigger
+from evex.generation import candidate_list_from_dict, candidate_list_to_dict
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -36,3 +40,12 @@ def test_readme_lists_the_artifacts_of_the_cli_table():
 def test_readme_states_the_parse_memo_bound():
     stated = re.search(r"at most `events.MEMO_SIZE` = ([\d,]+) entries", README).group(1)
     assert int(stated.replace(",", "")) == MEMO_SIZE
+
+
+def test_readme_candidates_row_reads_and_writes_back(tmp_path):
+    row = re.search(r"A candidates row:\s*```json\n(.*?)\n```", README, re.DOTALL).group(1)
+    cl = candidate_list_from_dict(json.loads(row), CodecConfig())
+    assert cl.candidates[0].triggers == (Trigger("went", "Movement"),)
+    assert cl.arguments_by_word == {"went": (ArgumentPair("Destination", "home"),)}
+    write_jsonl(tmp_path / "candidates.jsonl", [candidate_list_to_dict(cl)], {})
+    assert (tmp_path / "candidates.jsonl").read_text(encoding="utf-8").splitlines()[1] == row

@@ -40,6 +40,13 @@ def test_scripted_backend_contract():
     assert backend.generate_greedy("unscripted") == ""
 
 
+def test_scripted_backend_keeps_script_order_among_equal_scores():
+    entries = [("a [T]", -1.0), ("b [T]", 0.0), ("c [T]", -1.0), ("d [T]", -0.0), ("e [T]", -1)]
+    backend = ScriptedBackend({"p": entries})
+    assert [t for t, _ in backend.generate_topk("p", 5)] == ["b [T]", "d [T]", "a [T]", "c [T]", "e [T]"]
+    assert backend.generate_greedy("p") == "b [T]"
+
+
 def test_scripted_backend_scores_non_increasing():
     rng = random.Random(9)
     for _ in range(30):
@@ -182,8 +189,10 @@ def test_candidate_list_dict_roundtrip():
     backend = ScriptedBackend({prompt: [("a [T]", -0.25), ("[none]", -0.5)]})
     lists, _ = generate_trigger_candidates(backend, instance(context), GEN, CFG)
     raw = candidate_list_to_dict(lists.with_rank_scores([0.5, -0.5]))
-    # the stored form holds no parse and no rank score: those come from the codec and rank_scores.*
-    assert all(set(c) == {"raw_text", "beam_score"} for c in raw["candidates"])
+    # the stored form holds each candidate's [raw_text, beam_score], no parse and no rank score:
+    # those come from the codec and rank_scores.*
+    assert raw["candidates"] == [["a [T]", -0.25], ["[none]", -0.5]]
+    assert set(raw) == {"doc_id", "context", "candidates", "arguments"}
     assert candidate_list_from_dict(raw, CFG) == lists
 
 
@@ -212,6 +221,54 @@ def test_wide_beam_dict_roundtrip_decodes_the_generated_parse():
     assert candidate_list_from_dict(raw, CFG) == generated  # from the memo this time
     memo = parse_hypothesis.cache_info()
     assert memo.misses == memo.hits == len(generated.candidates)
+
+
+def test_wide_beam_roundtrip_leaves_out_a_word_whose_arguments_decode_to_nothing():
+    context = "a b c ."
+    prompt = build_trigger_prompt(context, CFG)
+    hypotheses = [("a [T] [and] b [U]", -0.1), ("b [U]", -0.2), ("c [T]", -0.3), ("[none]", -0.4)]
+    args = {
+        "a": [("<R> x </R> <S> y </S>", 0.0)],
+        "b": [("<R> [None] </R>", 0.0)],  # a none-token fill: no pair
+        "c": [("<R> z </R>", 0.0)],
+    }
+    args = {build_argument_prompt(context, w, CFG): h for w, h in args.items()}
+    backend = ScriptedBackend({prompt: hypotheses, **args})
+    greedy_prompts = []
+    greedy = backend.generate_greedy
+    backend.generate_greedy = lambda text: greedy_prompts.append(text) or greedy(text)
+    generated, _ = generate_trigger_candidates(backend, instance(context), GenerationConfig(beam_width=20), CFG)
+    generated, warnings = attach_argument_cache(backend, generated, CFG)
+    assert warnings == []
+    assert greedy_prompts == [build_argument_prompt(context, w, CFG) for w in "abc"]  # each word once, b too
+    assert generated.arguments_by_word == {
+        "a": (ArgumentPair("R", "x"), ArgumentPair("S", "y")),
+        "c": (ArgumentPair("R", "z"),),
+    }
+    assert frames_from_cache(generated, [Trigger("b", "U")]) == [EventFrame(Trigger("b", "U"), ())]
+    raw = json.loads(json.dumps(candidate_list_to_dict(generated)))
+    assert raw["arguments"] == {"a": [["R", "x"], ["S", "y"]], "c": [["R", "z"]]}
+    assert candidate_list_from_dict(raw, CFG) == generated
+
+
+@pytest.mark.parametrize(
+    "key, entry",
+    [
+        ("candidates", ["a [T]"]),
+        ("candidates", [-0.1, "a [T]"]),
+        ("candidates", ["a [T]", "-0.1"]),
+        ("candidates", ["a [T]", True]),
+        ("candidates", {"raw_text": "a [T]", "beam_score": -0.1}),  # the object form of earlier run directories
+        ("arguments", ["R", "e", "f"]),
+        ("arguments", ["R", 1]),
+    ],
+)
+def test_candidate_list_from_dict_rejects_an_entry_of_another_shape(key, entry):
+    # test_cli.py's DAMAGED_ARTIFACTS holds more shapes, read through the predict stage
+    raw = {"doc_id": "d", "context": "a .", "candidates": [["a [T]", -0.1]], "arguments": {"a": [["R", "e"]]}}
+    raw[key] = [entry] if key == "candidates" else {"a": [entry]}
+    with pytest.raises(ValueError, match=r"expected a \[(raw_text, beam_score|role, entity)\] array"):
+        candidate_list_from_dict(raw, CFG)
 
 
 @pytest.mark.parametrize(
