@@ -4,8 +4,8 @@ The run config names the corpus of each split and the backend script file;
 a relative path in it resolves against the config file's directory, wherever
 the run directory lies. Stages read and write the run directory:
 
-    pairs.jsonl               generator training pairs
-    ontology.json             induced role ontology
+    pairs.jsonl               generator training pairs: an export for a generator
+                              trained outside evex; no stage reads it
     load_report.{split}.json  corpus load problems (written by gen-candidates)
     candidates.{split}.jsonl  candidate raw texts, beam scores and cached arguments
                               (written by gen-candidates only)
@@ -45,7 +45,6 @@ from .corpus import (
     load_corpus,
     make_corpus_pairs,
     LoadResult,
-    TrainingPair,
 )
 from .events import ContextInstance, ontology_from_corpus
 from .generation import (
@@ -208,13 +207,7 @@ def _read_candidates(run_dir: Path, cfg: RunConfig, split: str) -> list[Candidat
 
 def cmd_preprocess(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> None:
     instances = _load_split(cfg, "train").instances
-    ontology = ontology_from_corpus(instances)
-    pairs = make_corpus_pairs(instances, ontology, cfg.codec)
-    artifacts.write_json(
-        run_dir / "ontology.json",
-        {"roles_by_type": {t: list(r) for t, r in ontology.items()}},
-        cfg.hash,
-    )
+    pairs = make_corpus_pairs(instances, ontology_from_corpus(instances), cfg.codec)
     artifacts.write_jsonl(
         run_dir / "pairs.jsonl", (asdict(p) for p in pairs), {"artifact": "pairs", "config_hash": cfg.hash}
     )
@@ -223,10 +216,7 @@ def cmd_preprocess(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> N
 
 def cmd_gen_candidates(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> None:
     split = args.split
-    pairs_path = _require(run_dir / "pairs.jsonl", "preprocess")
-    pairs = artifacts.read_jsonl(pairs_path, cfg.hash, convert=lambda row: TrainingPair(**row))
     backend = _build_backend(cfg)
-    backend.fit(pairs)
     loaded = _load_split(cfg, split)  # every split passes through here, so its load report is written here
     report = {"path": cfg.corpus[split], **loaded.to_dict()}  # as the config writes it, wherever the run lies
     artifacts.write_json(run_dir / f"load_report.{split}.json", report, cfg.hash)

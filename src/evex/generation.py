@@ -10,6 +10,7 @@ in the synthetic experiments.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from operator import itemgetter
@@ -21,7 +22,6 @@ from .codec import (
     decode_argument_output,
     decode_trigger_candidate,
 )
-from .corpus import TrainingPair
 from .events import ArgumentPair, ContextInstance, EventFrame, Trigger, is_number, matches_token, normalize_ws
 from .events import MEMO_SIZE, intern_pair, intern_trigger  # the leaf memos, emptied with parse_hypothesis
 
@@ -88,15 +88,12 @@ class CandidateList:
 class ScriptedBackend:
     """Deterministic backend driven by an input -> hypotheses script.
 
-    The backend contract, which a real seq2seq model would also meet:
-    fit(pairs) on the generator training pairs; generate_topk(input_text, k)
-    returns at most k (text, score) hypotheses sorted by score descending,
-    scores finite log-scale reals; generate_greedy(input_text) returns one
-    string. Outputs are deterministic given fixed state.
+    The backend contract, which a real seq2seq model trained elsewhere would
+    also meet: generate_topk(input_text, k) returns at most k (text, score)
+    hypotheses sorted by score descending, scores finite log-scale reals;
+    generate_greedy(input_text) returns one string. Outputs are deterministic.
 
-    Unscripted inputs yield no hypotheses (empty string under greedy).
-    fit() memorizes training pairs as scripted entries for inputs that are
-    not already scripted; pre-scripted entries are never overridden. A
+    Unscripted inputs yield no hypotheses (empty string under greedy). A
     script that is not such a map raises TypeError or ValueError.
     """
 
@@ -108,22 +105,12 @@ class ScriptedBackend:
             checked = [
                 (h[0], float(h[1])) for h in hypotheses
                 if isinstance(h, (list, tuple)) and len(h) == 2 and isinstance(h[0], str) and is_number(h[1])
-                and math.isfinite(h[1])
+                and abs(h[1]) <= sys.float_info.max  # finite: NaN, infinities and ints past float range fail
             ] if isinstance(hypotheses, list) else None
             if checked is None or len(checked) != len(hypotheses):
                 raise ValueError(f"scripted hypotheses must be a list of (text, finite score) pairs: {input_text!r}")
             checked.sort(key=itemgetter(1), reverse=True)  # stable: equal scores keep script order
             self._script[input_text] = checked
-
-    def fit(self, pairs: list[TrainingPair]) -> None:
-        memorized: dict[str, list[str]] = {}
-        for pair in pairs:
-            targets = memorized.setdefault(pair.input, [])
-            if pair.target not in targets:
-                targets.append(pair.target)
-        for input_text, targets in memorized.items():
-            if input_text not in self._script:
-                self._script[input_text] = [(t, -float(i)) for i, t in enumerate(targets)]
 
     def generate_topk(self, input_text: str, k: int) -> list[tuple[str, float]]:
         return list(self._script.get(input_text, ())[:k])

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 import zlib
 from array import array
 from collections.abc import Sequence
@@ -60,7 +61,7 @@ class SelectorTrainConfig:
             raise ValueError("margin must be a number in [-1, 1]")
         if self.negatives_k < 1:
             raise ValueError("negatives_k must be >= 1")
-        if not is_number(self.learning_rate) or not 0 < self.learning_rate < math.inf:  # NaN fails too
+        if not is_number(self.learning_rate) or not 0 < self.learning_rate <= sys.float_info.max:  # NaN fails too
             raise ValueError("learning_rate must be a positive finite number")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
@@ -124,8 +125,10 @@ class HashedNgramScorer:
     first position in its row's id stream (the order a whole-string pass emits
     the n-grams). First occurrences and bincount over first positions give
     each row's (index, count) vector of a dict count of its stream, in its
-    order, so every score is the same float as a pair's alone. The training
-    table keeps counts as float32, exact for integer counts below 2**24.
+    order, so every score is the same float as a pair's alone where numpy's
+    BLAS ddot sums a slice and a fresh array in the same order; some OpenBLAS
+    kernels do not (ROADMAP #2). The training table keeps counts as float32,
+    exact for integer counts below 2**24.
     """
 
     MEMO_SIZE = 2**14

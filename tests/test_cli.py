@@ -25,6 +25,8 @@ from evex.tuning import GridCell, write_score_table
 from util import per_cell_report
 
 F1_KEYS = ("trig_i", "trig_c", "arg_i", "arg_c")
+# a JSON integer that parses but fits no float: float() raises OverflowError on it
+PAST_FLOAT = 10**400
 
 
 def run(args):
@@ -80,6 +82,7 @@ def test_bad_config_exits_2(tmp_path):
         ("tuning", [["metric", "trig_i"]]),
         ("selector_train", {"learning_rate": math.nan}),
         ("selector_train", {"learning_rate": math.inf}),
+        ("selector_train", {"learning_rate": PAST_FLOAT}),
         ("scorer", {"word_ngrams": [], "char_ngrams": []}),
     ],
     ids=[
@@ -88,7 +91,7 @@ def test_bad_config_exits_2(tmp_path):
         "dim_float", "beam_width_float", "epochs_float",
         "script_int", "script_list", "script_inline", "script_missing", "selecton_typo", "pairs_list",
         "pairs_section", "scorer_list", "tuning_list", "learning_rate_nan", "learning_rate_inf",
-        "no_ngram_length",
+        "learning_rate_past_float", "no_ngram_length",
     ],
 )
 def test_bad_config_section_exits_2_before_any_stage(tmp_path, capsys, section, value):
@@ -109,12 +112,16 @@ def test_bad_config_section_exits_2_before_any_stage(tmp_path, capsys, section, 
         "[1, 2]",
         *(
             json.dumps({"p": hypotheses})
-            for hypotheses in ([["a"]], [["a [T]", "NaN"]], [["a [T]", "1.5"]], [[5, -0.1]], [["a", 1.0, 2]], [5], None)
+            for hypotheses in (
+                [["a"]], [["a [T]", "NaN"]], [["a [T]", "1.5"]], [[5, -0.1]], [["a", 1.0, 2]], [5], None,
+                [["a [T]", PAST_FLOAT]],
+            )
         ),
     ],
     ids=[
         "not_json", "json_list", "script_hypothesis_without_score", "script_score_nan", "script_score_string",
         "script_text_int", "script_hypothesis_triple", "script_hypothesis_int", "script_hypotheses_null",
+        "script_score_past_float",
     ],
 )
 def test_bad_script_file_exits_2_at_gen_candidates(tmp_path, capsys, content):
@@ -178,7 +185,8 @@ def test_gold_role_with_angle_bracket_is_a_load_problem(tmp_path):
     problems = read_json(tmp_path / "load_report.train.json")["problems"]
     assert [p["line"] for p in problems] == [len(corpus.read_text().splitlines())]
     assert "angle brackets" in problems[0]["message"]
-    assert "<Place>" not in (tmp_path / "ontology.json").read_text()
+    # the argument targets are encoded from the ontology induced at preprocess, which never held the role
+    assert "<<Place>>" not in (tmp_path / "pairs.jsonl").read_text()
 
 
 def test_unknown_backend_exits_2(tmp_path):
@@ -275,9 +283,8 @@ def test_each_stage_starts_with_empty_parse_memos(tmp_path, monkeypatch):
     assert summaries[0] == summaries[1] and 0 < parsed < hypotheses
 
 
-def test_stagewise_run_matches_pipeline(tmp_path):
-    cfg = build_demo_run(tmp_path / "staged", seed=6)
-    rd = tmp_path / "staged"
+def run_stagewise(cfg: Path, rd: Path) -> None:
+    """The stages of `pipeline`, one main call each."""
     assert run(["preprocess", "--config", cfg, "--run-dir", rd]) == 0
     for split in ("train", "dev", "test"):
         assert run(["gen-candidates", "--config", cfg, "--run-dir", rd, "--split", split]) == 0
@@ -287,11 +294,37 @@ def test_stagewise_run_matches_pipeline(tmp_path):
     assert run(["evaluate", "--config", cfg, "--run-dir", rd, "--split", "test"]) == 0
     assert run(["report", "--config", cfg, "--run-dir", rd, "--split", "test"]) == 0
 
+
+def test_stagewise_run_matches_pipeline(tmp_path):
+    rd = tmp_path / "staged"
+    run_stagewise(build_demo_run(rd, seed=6), rd)
     report = json.loads((rd / "report.json").read_text())
     for key in F1_KEYS:
         assert report[key]["f1"] == 1.0
     for name in ("pairs.jsonl", "tuning.csv", "tuned.json", "predictions.jsonl", "theta_sweep.csv", "alpha_sweep.csv"):
         assert (rd / name).exists()
+
+    # the same noisy demo, staged in one directory and as one pipeline call in another, writes the same bytes
+    staged, whole = tmp_path / "noisy_staged", tmp_path / "noisy_pipeline"
+    run_stagewise(build_demo_run(staged, seed=9, noisy=True), staged)
+    assert run(["pipeline", "--config", build_demo_run(whole, seed=9, noisy=True), "--run-dir", whole]) == 0
+    assert artifact_hashes(staged) == artifact_hashes(whole)
+
+
+def test_gen_candidates_reads_no_training_pairs(tmp_path):
+    """gen-candidates reads the corpus and the backend script only: pairs.jsonl is an export that no stage reads."""
+    cfg = build_demo_run(tmp_path, seed=9, noisy=True)
+
+    def gen_candidates() -> dict[str, bytes]:
+        for split in ("train", "dev", "test"):
+            assert run(["gen-candidates", "--config", cfg, "--run-dir", tmp_path, "--split", split]) == 0
+        outputs = [*tmp_path.glob("candidates.*.jsonl"), *tmp_path.glob("load_report.*.json")]
+        return {p.name: p.read_bytes() for p in outputs}
+
+    assert run(["preprocess", "--config", cfg, "--run-dir", tmp_path]) == 0
+    with_pairs = gen_candidates()
+    (tmp_path / "pairs.jsonl").unlink()
+    assert len(with_pairs) == 6 and gen_candidates() == with_pairs
 
 
 def add_joined_hypotheses(run_dir: Path, seed: int) -> int:
@@ -538,7 +571,7 @@ def test_regenerated_candidates_rescore(tmp_path):
 
 @pytest.mark.parametrize(
     "damage",
-    ["missing_row", "short_row", "cut_mid_line", "nan_score", "infinite_score"]
+    ["missing_row", "short_row", "cut_mid_line", "nan_score", "infinite_score", "past_float_score"]
     + ["no_header", "meta_number", "meta_list"],
 )
 def test_damaged_rank_scores_exit_4_or_rescore(tmp_path, capsys, damage):
@@ -559,6 +592,7 @@ def test_damaged_rank_scores_exit_4_or_rescore(tmp_path, capsys, damage):
     damaged = {
         "nan_score": first_score(math.nan),
         "infinite_score": first_score(-math.inf),
+        "past_float_score": first_score(PAST_FLOAT),
         "missing_row": "".join(lines[:-1]),
         "short_row": "".join(lines[:-1]) + json.dumps(json.loads(lines[-1])[:-1]) + "\n",
         "cut_mid_line": written[: len(written) - len(lines[-1]) // 2],
@@ -627,7 +661,6 @@ DAMAGED_ARTIFACTS = {
     "predict-selector.model": ("predict", "selector.model", cut_mid_line),
     "predict-tuned.json": ("predict", "tuned.json", cut_mid_line),
     "evaluate-predictions.jsonl": ("evaluate", "predictions.jsonl", cut_mid_line),
-    "gen-candidates-pairs.jsonl": ("gen-candidates", "pairs.jsonl", cut_mid_line),
     "tuned-list": ("predict", "tuned.json", rewrite(lambda raw: [1])),
     "tuned-alpha-5": ("predict", "tuned.json", rewrite(lambda raw: {**raw, "alpha": 5})),
     "selector-format-x": ("predict", "selector.model", rewrite(lambda raw: {**raw, "format": "x"})),
@@ -636,10 +669,12 @@ DAMAGED_ARTIFACTS = {
     "selector-weight-negative-index": ("predict", "selector.model", rewrite(lambda raw: {**raw, "weights": {"-1": 1}})),
     "selector-weight-nan": ("predict", "selector.model", rewrite(lambda raw: {**raw, "weights": {"0": math.nan}})),
     "selector-weight-infinity": ("predict", "selector.model", rewrite(lambda raw: {**raw, "weights": {"0": math.inf}})),
+    "selector-weight-past-float": (
+        "predict", "selector.model", rewrite(lambda raw: {**raw, "weights": {"0": PAST_FLOAT}})
+    ),
     "predictions-row-no-events": ("evaluate", "predictions.jsonl", rewrite(without("events"), line=1)),
     "predictions-first-line-5": ("evaluate", "predictions.jsonl", rewrite(lambda raw: 5, line=0)),
     "predictions-meta-number": ("evaluate", "predictions.jsonl", rewrite(lambda raw: {"__meta__": 3}, line=0)),
-    "pairs-row-no-task": ("gen-candidates", "pairs.jsonl", rewrite(without("task"), line=1)),
     "candidates-row-no-doc_id": ("predict", "candidates.test.jsonl", rewrite(without("doc_id"), line=1)),
     # a JSON list or object where a string belongs: the parse memos cannot hash it
     "predictions-trigger-word-list": ("evaluate", "predictions.jsonl", rewrite(one_event(word=["w"]), line=1)),
@@ -657,6 +692,9 @@ DAMAGED_ARTIFACTS = {
         "predict", "candidates.test.jsonl", rewrite(one_entry("arguments", {"role": "R", "entity": "e"}), line=1)
     ),
     "candidates-argument-string": ("predict", "candidates.test.jsonl", rewrite(one_entry("arguments", "RE"), line=1)),
+    "candidates-beam-score-past-float": (
+        "predict", "candidates.test.jsonl", rewrite(one_entry("candidates", ["w [T]", PAST_FLOAT]), line=1)
+    ),
 }
 
 
@@ -667,8 +705,7 @@ def test_damaged_artifact_exits_4(tmp_path, capsys, case):
     assert run(["pipeline", "--config", cfg, "--run-dir", tmp_path]) == 0
     damage(tmp_path / name)
     capsys.readouterr()
-    flags = ["--split", "test"] if command == "gen-candidates" else []
-    assert run([command, "--config", cfg, "--run-dir", tmp_path, *flags]) == 4
+    assert run([command, "--config", cfg, "--run-dir", tmp_path]) == 4
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert f"error: {tmp_path / name} does not parse" in err

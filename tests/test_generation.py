@@ -4,7 +4,6 @@ import random
 import pytest
 
 from evex.codec import CodecConfig, build_argument_prompt, build_trigger_prompt, decode_trigger_candidate
-from evex.corpus import TASK_TRIGGER, TrainingPair
 from evex.events import MEMO_SIZE, ArgumentPair, ContextInstance, EventFrame, Trigger, intern_pair, intern_trigger
 from evex.generation import (
     BackendError,
@@ -55,19 +54,6 @@ def test_scripted_backend_scores_non_increasing():
         scores = [s for _, s in backend.generate_topk("p", rng.randint(1, 10))]
         assert all(a >= b for a, b in zip(scores, scores[1:]))
         assert len(scores) <= len(entries)
-
-
-def test_scripted_backend_fit_memorizes_new_inputs_only():
-    backend = ScriptedBackend({"kept": [("orig [T]", -0.1)]})
-    pairs = [
-        TrainingPair("kept", "override [T]", TASK_TRIGGER, "d"),
-        TrainingPair("new", "first [T]", TASK_TRIGGER, "d"),
-        TrainingPair("new", "second [T]", TASK_TRIGGER, "d"),
-        TrainingPair("new", "first [T]", TASK_TRIGGER, "d"),
-    ]
-    backend.fit(pairs)
-    assert backend.generate_greedy("kept") == "orig [T]"
-    assert backend.generate_topk("new", 5) == [("first [T]", 0.0), ("second [T]", -1.0)]
 
 
 def instance(context="He went home .", frames=()):
