@@ -74,7 +74,7 @@ candidates, warnings = generate_trigger_candidates(backend, instance, Generation
 candidates, _ = attach_argument_cache(backend, candidates, cfg)
 for c in candidates.candidates:
     print(f"  beam {c.beam_score:+.2f}  {c.raw_text!r}  -> {[t.word for t in c.triggers]}")
-print("  parse warnings:", warnings)
+print("  parse warnings:", [f"doc {instance.doc_id}: {w}" for w in warnings])
 
 # An untrained scorer is neutral; selection then follows beam scores alone.
 # Train it for real with train_selector (see reranking_ablation.py).

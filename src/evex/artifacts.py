@@ -44,8 +44,7 @@ def _reading(path: str | Path) -> Iterator[TextIO]:
     try:
         with Path(path).open(encoding="utf-8") as fh:
             yield fh
-    except (LookupError, TypeError, AttributeError, ValueError, OverflowError) as exc:
-        # damaged, or not of the converter's shape (OverflowError: an integer past float range)
+    except (LookupError, TypeError, AttributeError, ValueError) as exc:  # damaged, or not of the converter's shape
         raise DataError(f"{path} does not parse ({type(exc).__name__}: {exc})") from exc
 
 

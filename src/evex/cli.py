@@ -46,7 +46,7 @@ from .corpus import (
     make_corpus_pairs,
     LoadResult,
 )
-from .events import ContextInstance, ontology_from_corpus
+from .events import ContextInstance, is_finite_number, ontology_from_corpus
 from .generation import (
     BackendError,
     CandidateList,
@@ -59,6 +59,7 @@ from .generation import (
     frames_from_cache,
     generate_trigger_candidates,
     parse_hypothesis,
+    stored_string,
 )
 from .metrics import TRIG_C, evaluate_corpus
 from .selector import (
@@ -234,11 +235,7 @@ def cmd_gen_candidates(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) 
             candidates, arg_warnings = attach_argument_cache(backend, candidates, cfg.codec)
         except BackendError as exc:
             raise DataError(str(exc)) from exc
-        # "doc <id>: <kind>: <detail>" -> "<kind>"
-        doc_prefix = f"doc {instance.doc_id}: "
-        warning_kinds.update(
-            message.removeprefix(doc_prefix).partition(": ")[0] for message in warnings + arg_warnings
-        )
+        warning_kinds.update(w.partition(": ")[0] for w in warnings + arg_warnings)  # "<kind>: <detail>"
         lists.append(candidates)
     artifacts.write_jsonl(
         run_dir / f"candidates.{split}.jsonl",
@@ -274,17 +271,7 @@ def cmd_train_selector(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) 
     if not np.isfinite(scorer.weights).all():  # a selector.model no reader accepts; the old one stays
         rate = train_cfg.learning_rate
         raise DataError(f"training diverged to non-finite weights: lower selector_train.learning_rate ({rate:g})")
-    scorer.save(
-        run_dir / "selector.model",
-        extra={
-            "config_hash": cfg.hash,
-            "train": {
-                "loss_per_epoch": result.loss_per_epoch,
-                "n_trained": result.n_trained,
-                "n_skipped": result.n_skipped,
-            },
-        },
-    )
+    scorer.save(run_dir / "selector.model", extra={"config_hash": cfg.hash, "train": asdict(result)})
     log.info(
         "train-selector: %d trained / %d skipped, first epoch loss %.4f, last %.4f",
         result.n_trained,
@@ -314,7 +301,7 @@ def _scored_candidates(cfg: RunConfig, run_dir: Path, split: str) -> list[Candid
     path = run_dir / f"rank_scores.{split}.jsonl"
     try:
         if path.exists() and digests.items() <= artifacts.read_meta(path).items():  # both digests match
-            rows = artifacts.read_jsonl(path, cfg.hash, convert=lambda row: [float(s) for s in row])
+            rows = artifacts.read_jsonl(path, cfg.hash, convert=_rank_score_row)
             return [cl.with_rank_scores(s) for cl, s in zip(candidate_lists, rows, strict=True)]
     except (ValueError, DataError) as exc:  # a damaged cache, or rows that do not line up with the candidates
         raise DataError(
@@ -325,6 +312,13 @@ def _scored_candidates(cfg: RunConfig, run_dir: Path, split: str) -> list[Candid
     meta = {"artifact": "rank_scores", "split": split, "config_hash": cfg.hash, **digests}
     artifacts.write_jsonl(path, ([c.rank_score for c in cl.candidates] for cl in candidate_lists), meta)
     return candidate_lists
+
+
+def _rank_score_row(row: object) -> list[float]:
+    """A rank_scores row: a JSON array of scores that each pass events.is_finite_number."""
+    if type(row) is not list or not all(map(is_finite_number, row)):
+        raise ValueError(f"expected an array of finite scores, got {row!r}")
+    return [float(s) for s in row]
 
 
 def _with_gold(cfg: RunConfig, split: str, lists: list[CandidateList]) -> list[tuple[ContextInstance, CandidateList]]:
@@ -401,7 +395,7 @@ def cmd_evaluate(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> Non
     split = args.split
     path = _require(run_dir / "predictions.jsonl", "predict")
     predictions = artifacts.read_jsonl(
-        path, cfg.hash, convert=lambda row: (row["doc_id"], [frame_from_dict(e) for e in row["events"]])
+        path, cfg.hash, convert=lambda row: (stored_string(row, "doc_id"), [frame_from_dict(e) for e in row["events"]])
     )
     predicted = artifacts.read_meta(path).get("split")
     if predicted != split:

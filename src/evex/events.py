@@ -9,6 +9,7 @@ downstream equality checks are plain string comparisons.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,6 +24,11 @@ def normalize_ws(text: str) -> str:
 def is_number(value: object, kind: type | tuple[type, ...] = (int, float)) -> bool:
     """Whether a config value is a number of `kind`; a bool (JSON true/false) is none."""
     return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def is_finite_number(value: object) -> bool:
+    """The rule of every score read from a file: a number (no bool) that is a finite float."""
+    return is_number(value) and abs(value) <= sys.float_info.max
 
 
 def matches_token(text: str, token: str) -> bool:

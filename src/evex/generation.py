@@ -10,7 +10,6 @@ in the synthetic experiments.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from operator import itemgetter
@@ -22,7 +21,8 @@ from .codec import (
     decode_argument_output,
     decode_trigger_candidate,
 )
-from .events import ArgumentPair, ContextInstance, EventFrame, Trigger, is_number, matches_token, normalize_ws
+from .events import ArgumentPair, ContextInstance, EventFrame, Trigger, is_finite_number, is_number, matches_token
+from .events import normalize_ws
 from .events import MEMO_SIZE, intern_pair, intern_trigger  # the leaf memos, emptied with parse_hypothesis
 
 
@@ -85,6 +85,14 @@ class CandidateList:
         return CandidateList(self.doc_id, self.context, candidates, self.arguments_by_word)
 
 
+def _scored_text(entry: object) -> tuple[str, float]:
+    """[text, score] of the backend script or a candidates row: a list or tuple of a string and an is_finite_number."""
+    if not (isinstance(entry, (list, tuple)) and len(entry) == 2 and isinstance(entry[0], str)
+            and is_finite_number(entry[1])):
+        raise ValueError(f"expected a [raw_text, beam_score] array with a finite score, got {entry!r}")
+    return entry[0], float(entry[1])
+
+
 class ScriptedBackend:
     """Deterministic backend driven by an input -> hypotheses script.
 
@@ -93,8 +101,8 @@ class ScriptedBackend:
     hypotheses sorted by score descending, scores finite log-scale reals;
     generate_greedy(input_text) returns one string. Outputs are deterministic.
 
-    Unscripted inputs yield no hypotheses (empty string under greedy). A
-    script that is not such a map raises TypeError or ValueError.
+    Unscripted inputs yield no hypotheses (empty string under greedy). A hypothesis, like a stored
+    candidate, is a text and an events.is_finite_number score (_scored_text), else ValueError.
     """
 
     def __init__(self, script: dict[str, list[tuple[str, float]]] | None = None):
@@ -102,15 +110,12 @@ class ScriptedBackend:
             raise TypeError(f"backend script must map inputs to hypothesis lists, got {type(script).__name__}")
         self._script: dict[str, list[tuple[str, float]]] = {}
         for input_text, hypotheses in (script or {}).items():
-            checked = [
-                (h[0], float(h[1])) for h in hypotheses
-                if isinstance(h, (list, tuple)) and len(h) == 2 and isinstance(h[0], str) and is_number(h[1])
-                and abs(h[1]) <= sys.float_info.max  # finite: NaN, infinities and ints past float range fail
-            ] if isinstance(hypotheses, list) else None
-            if checked is None or len(checked) != len(hypotheses):
-                raise ValueError(f"scripted hypotheses must be a list of (text, finite score) pairs: {input_text!r}")
-            checked.sort(key=itemgetter(1), reverse=True)  # stable: equal scores keep script order
-            self._script[input_text] = checked
+            try:  # sorted is stable: equal scores keep script order
+                if not isinstance(hypotheses, list):
+                    raise ValueError(f"expected a list, got {hypotheses!r}")
+                self._script[input_text] = sorted(map(_scored_text, hypotheses), key=itemgetter(1), reverse=True)
+            except ValueError as exc:
+                raise ValueError(f"scripted hypotheses of {input_text!r}: {exc}") from None
 
     def generate_topk(self, input_text: str, k: int) -> list[tuple[str, float]]:
         return list(self._script.get(input_text, ())[:k])
@@ -158,7 +163,7 @@ def generate_trigger_candidates(
     best: dict[tuple, TriggerCandidate] = {}
     for text, score in hypotheses:
         raw_text, triggers, parse_warnings, kept = parse_hypothesis(text, codec_cfg)
-        warnings.extend(f"doc {instance.doc_id}: {w}" for w in parse_warnings)
+        warnings += parse_warnings
         if not kept:
             continue
         candidate = TriggerCandidate(raw_text=raw_text, triggers=triggers, beam_score=float(score))
@@ -198,7 +203,7 @@ def attach_argument_cache(
             if trigger.word in args_by_word:
                 continue
             pairs, arg_warnings = generate_arguments(backend, candidate_list.context, trigger, codec_cfg)
-            warnings.extend(f"doc {candidate_list.doc_id}: {w}" for w in arg_warnings)
+            warnings += arg_warnings
             args_by_word[trigger.word] = tuple(pairs)
     cached = {word: pairs for word, pairs in args_by_word.items() if pairs}
     return replace(candidate_list, arguments_by_word=cached), warnings
@@ -225,21 +230,25 @@ def candidate_list_to_dict(cl: CandidateList) -> dict:
     }
 
 
-def _stored_pair(entry: object, second: tuple[type, ...], names: str) -> list:
-    """A stored entry, checked: a JSON array of two items, a string then a value of a `second` type."""
-    if type(entry) is not list or len(entry) != 2 or type(entry[0]) is not str or type(entry[1]) not in second:
-        raise ValueError(f"expected a [{names}] array, got {entry!r}")
-    return entry
+def _stored_argument(entry: object) -> ArgumentPair:
+    """A stored argument, checked: a JSON array of two strings, [role, entity]."""
+    if type(entry) is not list or len(entry) != 2 or not all(type(s) is str for s in entry):
+        raise ValueError(f"expected a [role, entity] array, got {entry!r}")
+    return intern_pair(*entry)
+
+
+def stored_string(row: dict, key: str) -> str:
+    """row[key] of a stored row, which must be a string (doc_id, context)."""
+    if not isinstance(row[key], str):
+        raise ValueError(f"{key} must be a string, got {row[key]!r}")
+    return row[key]
 
 
 def candidate_list_from_dict(raw: dict, codec_cfg: CodecConfig) -> CandidateList:
     """The inverse of candidate_list_to_dict. Each candidate's triggers are decoded
     from its raw text (parse_hypothesis), stored whitespace-normalized as the decoder
     reads it, so they equal the generated parse."""
-    stored = (_stored_pair(c, (int, float), "raw_text, beam_score") for c in raw["candidates"])
-    candidates = [TriggerCandidate(text, parse_hypothesis(text, codec_cfg)[1], float(s)) for text, s in stored]
-    arguments = {
-        word: tuple(intern_pair(*_stored_pair(p, (str,), "role, entity")) for p in pairs)
-        for word, pairs in raw.get("arguments", {}).items()
-    }
-    return CandidateList(raw["doc_id"], raw["context"], candidates, arguments)
+    stored = map(_scored_text, raw["candidates"])
+    candidates = [TriggerCandidate(text, parse_hypothesis(text, codec_cfg)[1], s) for text, s in stored]
+    arguments = {word: tuple(map(_stored_argument, pairs)) for word, pairs in raw.get("arguments", {}).items()}
+    return CandidateList(stored_string(raw, "doc_id"), stored_string(raw, "context"), candidates, arguments)

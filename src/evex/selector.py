@@ -23,9 +23,7 @@ train_step applies it to the weights and loss_and_grad returns it as a dict.
 from __future__ import annotations
 
 import json
-import math
 import random
-import sys
 import zlib
 from array import array
 from collections.abc import Sequence
@@ -37,7 +35,7 @@ import numpy as np
 
 from .artifacts import replacing
 from .codec import CodecConfig, encode_trigger
-from .events import Trigger, is_number
+from .events import Trigger, is_finite_number, is_number
 from .generation import CandidateList
 
 # one training example: (context, positive text, negative texts)
@@ -61,7 +59,7 @@ class SelectorTrainConfig:
             raise ValueError("margin must be a number in [-1, 1]")
         if self.negatives_k < 1:
             raise ValueError("negatives_k must be >= 1")
-        if not is_number(self.learning_rate) or not 0 < self.learning_rate <= sys.float_info.max:  # NaN fails too
+        if not is_finite_number(self.learning_rate) or self.learning_rate <= 0:
             raise ValueError("learning_rate must be a positive finite number")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
@@ -128,7 +126,8 @@ class HashedNgramScorer:
     order, so every score is the same float as a pair's alone where numpy's
     BLAS ddot sums a slice and a fresh array in the same order; some OpenBLAS
     kernels do not (ROADMAP #2). The training table keeps counts as float32,
-    exact for integer counts below 2**24.
+    exact for integer counts below 2**24. dim lies in [1, 2**32]; from_dict checks each
+    stored weight with events.is_finite_number, the rule of every score read from a file.
     """
 
     MEMO_SIZE = 2**14
@@ -143,13 +142,16 @@ class HashedNgramScorer:
         self.dim, self.word_ngrams, self.char_ngrams = dim, tuple(word_ngrams), tuple(char_ngrams)
         if not all(is_number(n, int) for n in (dim, *self.word_ngrams, *self.char_ngrams)):
             raise ValueError("dim and n-gram lengths must be integers")
-        if dim < 1:
-            raise ValueError("dim must be positive")
+        if not 1 <= dim <= 2**32:  # indices are crc32 values mod dim: a larger dim adds weights no n-gram reaches
+            raise ValueError("dim must be in [1, 2**32]")
         if any(n < 1 for n in self.word_ngrams + self.char_ngrams):
             raise ValueError("n-gram lengths must be positive")
         if not self.word_ngrams + self.char_ngrams:  # no feature at all: every score the same constant
             raise ValueError("at least one n-gram length is needed, in word_ngrams or char_ngrams")
-        self.weights = np.zeros(self.dim, dtype=np.float64)
+        try:
+            self.weights = np.zeros(self.dim, dtype=np.float64)
+        except MemoryError:
+            raise ValueError(f"dim {dim} is more weights than memory holds") from None
         # (context, text) -> FeatureRow of _hinge; rows never depend on the weights
         self._table: dict[tuple[str, str], FeatureRow] = {}
         self._reset_memos()
@@ -290,10 +292,10 @@ class HashedNgramScorer:
             char_ngrams=tuple(raw["char_ngrams"]),
         )
         for idx, value in raw["weights"].items():
-            index, weight = int(idx), float(value)
-            if not 0 <= index < scorer.dim or not math.isfinite(weight):
+            index = int(idx)
+            if not 0 <= index < scorer.dim or not is_finite_number(value):
                 raise ValueError(f"weight {idx!r}: {value!r} is not a finite number at an index in [0, {scorer.dim})")
-            scorer.weights[index] = weight
+            scorer.weights[index] = float(value)
         return scorer
 
     def save(self, path: str | Path, extra: dict | None = None) -> None:

@@ -9,6 +9,7 @@ import sys
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from evex import cli
@@ -17,8 +18,8 @@ from evex.cli import MODEL_DIGEST_KEY, build_parser, load_config, main
 from evex.codec import CodecConfig, build_trigger_prompt, encode_trigger_target
 from evex.corpus import load_corpus
 from evex.events import intern_pair, intern_trigger
-from evex.generation import candidate_list_from_dict, parse_hypothesis
-from evex.selector import kept_mask
+from evex.generation import ScriptedBackend, candidate_list_from_dict, parse_hypothesis
+from evex.selector import HashedNgramScorer, kept_mask
 from evex.synthetic import build_demo_run, make_synthetic_corpus
 from evex.tuning import GridCell, write_score_table
 
@@ -84,6 +85,9 @@ def test_bad_config_exits_2(tmp_path):
         ("selector_train", {"learning_rate": math.inf}),
         ("selector_train", {"learning_rate": PAST_FLOAT}),
         ("scorer", {"word_ngrams": [], "char_ngrams": []}),
+        ("scorer", {"dim": 2**40}),
+        ("scorer", {"dim": 2**62}),
+        ("scorer", {"dim": PAST_FLOAT}),
     ],
     ids=[
         "theta_grid_1.5", "alpha_grid_negative", "alpha_grids_typo", "dims_typo", "dim_string", "include_emptyy_typo",
@@ -91,7 +95,7 @@ def test_bad_config_exits_2(tmp_path):
         "dim_float", "beam_width_float", "epochs_float",
         "script_int", "script_list", "script_inline", "script_missing", "selecton_typo", "pairs_list",
         "pairs_section", "scorer_list", "tuning_list", "learning_rate_nan", "learning_rate_inf",
-        "learning_rate_past_float", "no_ngram_length",
+        "learning_rate_past_float", "no_ngram_length", "dim_2**40", "dim_2**62", "dim_past_float",
     ],
 )
 def test_bad_config_section_exits_2_before_any_stage(tmp_path, capsys, section, value):
@@ -103,6 +107,34 @@ def test_bad_config_section_exits_2_before_any_stage(tmp_path, capsys, section, 
     err = capsys.readouterr().err
     assert "error: bad run config" in err
     assert not (tmp_path / "pairs.jsonl").exists()
+
+
+def test_scorer_weights_past_memory_exit_2_at_config_load_and_4_from_a_model(tmp_path, capsys, monkeypatch):
+    """A dim whose weights do not fit in memory is a dim error; the allocation is made to fail, never made."""
+    cfg = build_demo_run(tmp_path, seed=9, noisy=True)
+    assert run(["pipeline", "--config", cfg, "--run-dir", tmp_path]) == 0
+    model = tmp_path / "selector.model"
+    model.write_text(json.dumps({**json.loads(model.read_text()), "dim": 2**20}))  # the config's dim is 2**18
+    zeros = np.zeros
+
+    def zeros_below(limit):
+        def fake(shape, *args, **kwargs):
+            if isinstance(shape, int) and shape >= limit:
+                raise MemoryError
+            return zeros(shape, *args, **kwargs)
+
+        return fake
+
+    monkeypatch.setattr(np, "zeros", zeros_below(2**20))
+    capsys.readouterr()
+    assert run(["predict", "--config", cfg, "--run-dir", tmp_path]) == 4
+    err = capsys.readouterr().err
+    assert f"error: {model} does not parse (ValueError: dim {2**20} is more weights than memory holds)" in err
+    monkeypatch.setattr(np, "zeros", zeros_below(1))
+    assert run(["predict", "--config", cfg, "--run-dir", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert f"error: bad run config {cfg}: dim {2**18} is more weights than memory holds" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -651,6 +683,22 @@ def one_entry(key, entry):
     return lambda raw: {**raw, key: [entry] if key == "candidates" else {"w": [entry]}}
 
 
+def first_scored_row(edit):
+    """A rank_scores damage: its first row holding a score becomes edit(that row)."""
+
+    def damage(path: Path) -> None:
+        lines = path.read_text().splitlines(keepends=True)
+        i = next(i for i in range(1, len(lines)) if json.loads(lines[i]))
+        rewrite(edit, line=i)(path)
+
+    return damage
+
+
+def with_key(key, value):
+    """A row edit: key is set to value."""
+    return lambda raw: {**raw, key: value}
+
+
 def one_argument(role="R", entity="e"):
     """A candidates row edit: its cached arguments become one [role, entity] pair of these values."""
     return one_entry("arguments", [role, entity])
@@ -695,6 +743,24 @@ DAMAGED_ARTIFACTS = {
     "candidates-beam-score-past-float": (
         "predict", "candidates.test.jsonl", rewrite(one_entry("candidates", ["w [T]", PAST_FLOAT]), line=1)
     ),
+    # a stored doc_id or context that is not a string
+    "candidates-context-int": ("predict", "candidates.test.jsonl", rewrite(with_key("context", 5), line=1)),
+    "candidates-context-list": ("predict", "candidates.test.jsonl", rewrite(with_key("context", ["a"]), line=1)),
+    "candidates-doc_id-list": ("predict", "candidates.test.jsonl", rewrite(with_key("doc_id", ["d"]), line=1)),
+    "candidates-doc_id-int": ("predict", "candidates.test.jsonl", rewrite(with_key("doc_id", 5), line=1)),
+    "train-candidates-context-int": (
+        "train-selector", "candidates.train.jsonl", rewrite(with_key("context", 5), line=1)
+    ),
+    "predictions-doc_id-list": ("evaluate", "predictions.jsonl", rewrite(with_key("doc_id", ["d"]), line=1)),
+    # a score that is not a finite JSON number, though float() would take it; each row keeps its length
+    "rank-scores-digit-string": ("predict", "rank_scores.test.jsonl", first_scored_row(lambda row: "9" * len(row))),
+    "rank-scores-true": ("predict", "rank_scores.test.jsonl", first_scored_row(lambda row: [True] * len(row))),
+    "rank-scores-numeric-strings": (
+        "predict", "rank_scores.test.jsonl", first_scored_row(lambda row: ["1.5"] * len(row))
+    ),
+    "selector-weight-string": ("predict", "selector.model", rewrite(with_key("weights", {"0": "0.5"}))),
+    "selector-weight-true": ("predict", "selector.model", rewrite(with_key("weights", {"0": True}))),
+    "selector-dim-2**40": ("predict", "selector.model", rewrite(with_key("dim", 2**40))),
 }
 
 
@@ -703,12 +769,56 @@ def test_damaged_artifact_exits_4(tmp_path, capsys, case):
     command, name, damage = DAMAGED_ARTIFACTS[case]
     cfg = build_demo_run(tmp_path, seed=9, noisy=True)
     assert run(["pipeline", "--config", cfg, "--run-dir", tmp_path]) == 0
-    damage(tmp_path / name)
+    path = tmp_path / name
+    damage(path)
     capsys.readouterr()
     assert run([command, "--config", cfg, "--run-dir", tmp_path]) == 4
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert f"error: {tmp_path / name} does not parse" in err
+    # the rank-score cache names its file in its own error, around its reader's
+    cache = f"rank score cache {path} does not match candidates.test.jsonl (" if name.startswith("rank_scores") else ""
+    assert f"error: {cache}{path} does not parse" in err
+
+
+# [text, score] entries -> whether every score reader accepts them
+SCORED_ENTRIES = {
+    "int": (["w [T]", -1], True),
+    "tuple": (("w [T]", -1.0), True),
+    "true": (["w [T]", True], False),
+    "numeric-string": (["w [T]", "1"], False),
+    "nan": (["w [T]", math.nan], False),
+    "infinity": (["w [T]", math.inf], False),
+    "past-float": (["w [T]", PAST_FLOAT], False),
+    "text-int": ([5, -1.0], False),
+    "one-item": (["w [T]"], False),
+    "three-items": (["w [T]", -1, 0], False),
+}
+
+
+@pytest.mark.parametrize("case", SCORED_ENTRIES)
+def test_every_score_reader_takes_the_same_entries(case):
+    """The backend script and the candidates reader check a [text, score] entry, and the
+    rank-score and selector.model readers its score alone, by one rule: each accepts an
+    entry, giving the same float, or rejects it with a ValueError."""
+    entry, accepted = SCORED_ENTRIES[case]
+    model = HashedNgramScorer(dim=8).to_dict()
+    row = {"doc_id": "d", "context": "w .", "candidates": [entry]}
+    reads = [
+        lambda: ScriptedBackend({"p": [entry]}).generate_topk("p", 1)[0][1],
+        lambda: candidate_list_from_dict(row, CodecConfig()).candidates[0].beam_score,
+    ]
+    if len(entry) == 2 and isinstance(entry[0], str):  # the score alone
+        reads += [
+            lambda: cli._rank_score_row([entry[1]])[0],
+            lambda: float(HashedNgramScorer.from_dict({**model, "weights": {"0": entry[1]}}).weights[0]),
+        ]
+    for read in reads:
+        if accepted:
+            score = read()
+            assert type(score) is float and score == -1.0
+        else:
+            with pytest.raises(ValueError):
+                read()
 
 
 @pytest.mark.parametrize("damage", ["repeated_doc", "no_rows"])

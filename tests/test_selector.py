@@ -327,6 +327,22 @@ def test_scorer_rejects_nonpositive_ngram_length():
     HashedNgramScorer(dim=64, word_ngrams=(), char_ngrams=(3,))  # one empty family is fine
 
 
+def test_scorer_dim_lies_in_the_crc32_range():
+    HashedNgramScorer(dim=1)
+    for dim in (0, 2**32 + 1, 2**40, 2**62, 10**400):  # checked by rule, before numpy allocates
+        with pytest.raises(ValueError, match=r"dim must be in \[1, 2\*\*32\]"):
+            HashedNgramScorer(dim=dim)
+
+
+def test_scorer_weights_past_memory_are_a_dim_error(monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np, "zeros", no_memory)
+    with pytest.raises(ValueError, match="dim 1024 is more weights than memory holds"):
+        HashedNgramScorer(dim=1024)
+
+
 def test_scores_follow_weight_changes_after_memoised_scoring():
     rng = random.Random(31)
     pairs = featurizer_pairs(rng)[:60]
