@@ -9,8 +9,8 @@ the run directory lies. Stages read and write the run directory:
     load_report.{split}.json  corpus load problems (written by gen-candidates)
     candidates.{split}.jsonl  candidate raw texts, beam scores and cached arguments
                               (written by gen-candidates only)
-    rank_scores.{split}.jsonl rank-score cache, keyed by the selector.model and
-                              candidates file digests
+    rank_scores.{split}.jsonl candidate-side rank-score cache, keyed by the
+                              selector.model and candidates file digests
     selector.model            rank scorer parameters + training trace
     tuning.csv / tuned.json   grid-search table and chosen (alpha, theta), keyed by
                               the selector.model digest
@@ -122,7 +122,7 @@ class RunConfig:
             self.generation = GenerationConfig(**raw.get("generation", {}))
             self.selector_train = SelectorTrainConfig(**raw.get("selector_train", {}))
             self.scorer_params = raw.get("scorer", {})
-            HashedNgramScorer(**self.scorer_params)  # checks keys and values now, not at train-selector
+            HashedNgramScorer.checked_settings(**self.scorer_params)  # keys and values now; no weights allocated
             selection = raw.get("selection", "tune")
             self.selection = None if selection == "tune" else SelectionConfig(**selection)
             tuning = _section(raw, "tuning", ("alpha_grid", "theta_grid", "metric"))
@@ -263,7 +263,10 @@ def cmd_train_selector(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) 
     train_cfg = cfg.selector_train
     if args.seed is not None:
         train_cfg = replace(train_cfg, seed=args.seed)
-    scorer = HashedNgramScorer(**cfg.scorer_params)
+    try:
+        scorer = HashedNgramScorer(**cfg.scorer_params)
+    except ValueError as exc:  # weights past memory: config load checks the settings, allocating nothing
+        raise ConfigError(f"bad run config {cfg.path}: {exc}") from exc
     try:
         result = train_selector(scorer, data, train_cfg, cfg.codec)
     except ValueError as exc:
@@ -294,22 +297,23 @@ def _scored_candidates(cfg: RunConfig, run_dir: Path, split: str) -> list[Candid
     candidates file bytes: a retrained selector or regenerated candidates rescore.
     """
     candidate_lists = _read_candidates(run_dir, cfg, split)
-    digests = {
+    key = {
+        "rank_rows": "candidate-side",  # HashedNgramScorer.scores' rows: a cache without this key is scored again
         MODEL_DIGEST_KEY: _model_digest(run_dir),
         CANDIDATES_DIGEST_KEY: hashlib.sha256((run_dir / f"candidates.{split}.jsonl").read_bytes()).hexdigest(),
     }
     path = run_dir / f"rank_scores.{split}.jsonl"
-    try:
-        if path.exists() and digests.items() <= artifacts.read_meta(path).items():  # both digests match
-            rows = artifacts.read_jsonl(path, cfg.hash, convert=_rank_score_row)
+    if path.exists() and key.items() <= artifacts.read_meta(path).items():  # the rows and both digests match
+        rows = artifacts.read_jsonl(path, cfg.hash, convert=_rank_score_row)
+        try:
             return [cl.with_rank_scores(s) for cl, s in zip(candidate_lists, rows, strict=True)]
-    except (ValueError, DataError) as exc:  # a damaged cache, or rows that do not line up with the candidates
-        raise DataError(
-            f"rank score cache {path} does not match candidates.{split}.jsonl ({exc}); delete it to rescore"
-        ) from exc
+        except ValueError as exc:  # rows that do not line up with the candidates: a row missing, short or long
+            raise DataError(
+                f"rank score cache {path} does not match candidates.{split}.jsonl ({exc}); delete it to rescore"
+            ) from exc
     scorer = artifacts.read_json(run_dir / "selector.model", cfg.hash, convert=HashedNgramScorer.from_dict)
     candidate_lists = [score_candidates(cl, scorer) for cl in candidate_lists]
-    meta = {"artifact": "rank_scores", "split": split, "config_hash": cfg.hash, **digests}
+    meta = {"artifact": "rank_scores", "split": split, "config_hash": cfg.hash, **key}
     artifacts.write_jsonl(path, ([c.rank_score for c in cl.candidates] for cl in candidate_lists), meta)
     return candidate_lists
 

@@ -1,8 +1,8 @@
 """Domain types: triggers, argument pairs, event frames, contexts, and the
 training-time role ontology.
 
-The dataclasses are immutable after construction and safe to share across
-threads.
+The dataclasses are immutable after construction, slotted (one allocation,
+no per-instance __dict__), and safe to share across threads.
 Surface strings are whitespace-normalized once, at construction, so that
 downstream equality checks are plain string comparisons.
 """
@@ -36,7 +36,7 @@ def matches_token(text: str, token: str) -> bool:
     return "".join(text.split()).casefold() == "".join(token.split()).casefold()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trigger:
     """A trigger word together with the event type it expresses."""
 
@@ -56,7 +56,7 @@ class Trigger:
         object.__setattr__(self, "event_type", event_type)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArgumentPair:
     """One (role, entity) participation in an event."""
 
@@ -88,7 +88,7 @@ def intern_pair(role: str, entity: str) -> ArgumentPair:
     return ArgumentPair(role, entity)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventFrame:
     """One event: a trigger plus its role-labeled arguments.
 
@@ -112,7 +112,7 @@ class EventFrame:
         return hash((self.trigger, frozenset(self.arguments)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContextInstance:
     """One sentence context with its gold event frames."""
 

@@ -39,7 +39,7 @@ class GenerationConfig:
             raise ValueError("beam_width must be an integer >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TriggerCandidate:
     """One beam hypothesis: raw text, parsed triggers, and its scores.
 
@@ -63,7 +63,7 @@ class TriggerCandidate:
         return tuple(sorted((t.word, t.event_type) for t in self.triggers))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CandidateList:
     """Candidates of one context, sorted by beam score descending.
 

@@ -8,15 +8,17 @@ keeps every candidate whose fused score exceeds the threshold theta.
 
 The reference scorer is a linear model over hashed character and word n-gram
 counts of "context || candidate", trained by stochastic subgradient descent.
-Most of a pair's n-grams lie in the shared "context ||" prefix, and the
-candidate texts and n-grams of a corpus repeat, so the scorer hashes each
-distinct n-gram once into a dense id, looks up a context's prefix ids once per
-batch, and memoises each text's ids with those across the " || " junction.
-numpy counts the id streams of a context's candidates, in one pass, into
-feature rows (hashed indices and counts, in first-appearance order).
-Building rows again in every epoch would dominate training, so the scorer
-keeps a feature table of each unique pair's row it has trained on. One hinge
-pass over those rows (_hinge) gives the batch loss and its subgradient;
+Most of a pair's n-grams lie in the shared "context ||" prefix; they add the
+same to every candidate of a context, which softmax removes, so scores()
+counts each candidate's side alone: its text's n-grams and those across the
+" || " junction (training counts the whole pair). Texts and n-grams of a
+corpus repeat, so the scorer hashes each distinct n-gram once into a dense id
+and memoises each text's ids with the junction's. numpy counts the id streams
+of a context's candidates, in one pass, into feature rows (hashed indices and
+counts, in first-appearance order). Building rows again in every epoch would
+dominate training, so the scorer keeps a feature table of each unique pair's
+row it has trained on. One hinge pass over those rows (_hinge) gives the batch
+loss and its subgradient;
 train_step applies it to the weights and loss_and_grad returns it as a dict.
 """
 
@@ -100,8 +102,8 @@ class HashedNgramScorer:
 
     Deterministic: hashing uses crc32, weights start at zero. Context
     features are shared by all candidates of one context, so they cancel in
-    pairwise updates and shift all scores equally at inference (softmax
-    invariant); the ranking signal lives in the candidate-side n-grams.
+    pairwise updates (an exact zero subgradient) and would shift its scores
+    equally (softmax invariant): scores() counts the candidate-side n-grams alone.
 
     The pair is normalised as casefold plus whitespace collapse. Both act on
     each character alone, so the normalised pair is the normalised prefix
@@ -117,13 +119,13 @@ class HashedNgramScorer:
     the weights. The memos are emptied together when a batch starts with
     MEMO_SIZE entries or more, so they hold at most that plus one batch's.
 
-    scores() builds the rows of a context's candidates in one pass (_rows):
-    one np.minimum.at, a ufunc, as repeated fancy-index writes have no set
-    order, on the call's scratch of one slot per (row, id) finds each id's
-    first position in its row's id stream (the order a whole-string pass emits
-    the n-grams). First occurrences and bincount over first positions give
-    each row's (index, count) vector of a dict count of its stream, in its
-    order, so every score is the same float as a pair's alone where numpy's
+    scores() and _hinge build the rows of a context's candidates in one pass
+    (_rows): one np.minimum.at, a ufunc, as repeated fancy-index writes have
+    no set order, on the call's scratch of one slot per (row, id) finds each
+    id's first position in its row's id stream (the order a whole-string pass
+    emits the n-grams). First occurrences and bincount over first positions
+    give each row's (index, count) vector of a dict count of its stream, in
+    its order, so every score is the same float as a pair's alone where numpy's
     BLAS ddot sums a slice and a fresh array in the same order; some OpenBLAS
     kernels do not (ROADMAP #2). The training table keeps counts as float32,
     exact for integer counts below 2**24. dim lies in [1, 2**32]; from_dict checks each
@@ -133,28 +135,30 @@ class HashedNgramScorer:
     MEMO_SIZE = 2**14
     FORMAT = "hashed-ngram-linear/1"
 
-    def __init__(
-        self,
-        dim: int = 2**18,
-        word_ngrams: tuple[int, ...] = (1, 2),
-        char_ngrams: tuple[int, ...] = (3, 4),
-    ):
-        self.dim, self.word_ngrams, self.char_ngrams = dim, tuple(word_ngrams), tuple(char_ngrams)
-        if not all(is_number(n, int) for n in (dim, *self.word_ngrams, *self.char_ngrams)):
-            raise ValueError("dim and n-gram lengths must be integers")
-        if not 1 <= dim <= 2**32:  # indices are crc32 values mod dim: a larger dim adds weights no n-gram reaches
-            raise ValueError("dim must be in [1, 2**32]")
-        if any(n < 1 for n in self.word_ngrams + self.char_ngrams):
-            raise ValueError("n-gram lengths must be positive")
-        if not self.word_ngrams + self.char_ngrams:  # no feature at all: every score the same constant
-            raise ValueError("at least one n-gram length is needed, in word_ngrams or char_ngrams")
+    def __init__(self, **settings):
+        """settings: dim, word_ngrams and char_ngrams, with the defaults and rules of checked_settings."""
+        self.dim, self.word_ngrams, self.char_ngrams = self.checked_settings(**settings)
         try:
             self.weights = np.zeros(self.dim, dtype=np.float64)
         except MemoryError:
-            raise ValueError(f"dim {dim} is more weights than memory holds") from None
+            raise ValueError(f"dim {self.dim} is more weights than memory holds") from None
         # (context, text) -> FeatureRow of _hinge; rows never depend on the weights
         self._table: dict[tuple[str, str], FeatureRow] = {}
         self._reset_memos()
+
+    @staticmethod
+    def checked_settings(dim: int = 2**18, word_ngrams: Sequence[int] = (1, 2), char_ngrams: Sequence[int] = (3, 4)):
+        """(dim, word_ngrams, char_ngrams) as the scorer keeps them, checked without allocating weights."""
+        word_ngrams, char_ngrams = tuple(word_ngrams), tuple(char_ngrams)
+        if not all(is_number(n, int) for n in (dim, *word_ngrams, *char_ngrams)):
+            raise ValueError("dim and n-gram lengths must be integers")
+        if not 1 <= dim <= 2**32:  # indices are crc32 values mod dim: a larger dim adds weights no n-gram reaches
+            raise ValueError("dim must be in [1, 2**32]")
+        if any(n < 1 for n in word_ngrams + char_ngrams):
+            raise ValueError("n-gram lengths must be positive")
+        if not word_ngrams + char_ngrams:  # no feature at all: every score the same constant
+            raise ValueError("at least one n-gram length is needed, in word_ngrams or char_ngrams")
+        return dim, word_ngrams, char_ngrams
 
     def _reset_memos(self) -> None:
         """Empty the id memos (ids, never scores: a weight update cannot stale them)."""
@@ -171,17 +175,19 @@ class HashedNgramScorer:
         # from a list, which sizes the array exactly (from an iterator it over-allocates, and memos keep it)
         return [array("I", list(map(memo.__getitem__, g))) for memo, g in zip(self._grams, grams)]
 
-    def _rows(self, context: str, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    def _rows(self, context: str, texts: Sequence[str], whole_pair: bool = True) -> tuple[np.ndarray, np.ndarray, list]:
         """Row r, [cuts[r], cuts[r + 1]), holds the hashed n-gram indices of the normalised
         "context || texts[r]" and their counts, in first-appearance order: word families,
         then char families, each as the prefix's n-grams, then the text's. The text's
         n-grams are those of the text behind the prefix tail's last n - 1 tokens (chars:
-        tail chars, the joining space, the text; nothing for an empty text)."""
+        tail chars, the joining space, the text; nothing for an empty text). Without
+        whole_pair a row holds the text's n-grams alone, its candidate side."""
         if len(self._text_memo) + sum(map(len, self._grams)) >= self.MEMO_SIZE:
             self._reset_memos()
         tokens = context.casefold().split() + ["||"]
         prefix = " ".join(tokens)
-        prefix_parts = self._ids([tokens] * len(self.word_ngrams), [prefix] * len(self.char_ngrams))
+        counted = (tokens, prefix) if whole_pair else ([], "")  # the prefix adds the same to every row of the context
+        prefix_parts = self._ids([counted[0]] * len(self.word_ngrams), [counted[1]] * len(self.char_ngrams))
         # per family, the prefix's tail: its last n - 1 tokens or chars, all a junction n-gram reaches
         tail = (
             tuple(tuple(tokens[max(0, len(tokens) - n + 1) :]) for n in self.word_ngrams),
@@ -213,13 +219,13 @@ class HashedNgramScorer:
         return indices, counts, [0, *np.searchsorted(kept, ends[1:]).tolist()]
 
     def scores(self, context: str, texts: Sequence[str]) -> list[float]:
-        """Relevance of each candidate text to the context, from one batch of rows."""
-        idx, cnt, cuts = self._rows(context, texts)
+        """Relevance of each text to the context from its candidate-side row, in one batch."""
+        idx, cnt, cuts = self._rows(context, texts, whole_pair=False)
         weights = self.weights[idx]
         return [float(weights[s:e] @ cnt[s:e]) for s, e in zip(cuts, cuts[1:])]
 
     def score(self, context: str, candidate_text: str) -> float:
-        """Relevance of a candidate text to its context."""
+        """Relevance of a candidate text to its context (scores, one text)."""
         return self.scores(context, [candidate_text])[0]
 
     def _hinge(self, batch: list[ContrastiveItem], margin: float) -> tuple[float, np.ndarray, np.ndarray]:

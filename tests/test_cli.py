@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import re
+import shutil
 import subprocess
 import sys
 from functools import partial
@@ -23,7 +24,7 @@ from evex.selector import HashedNgramScorer, kept_mask
 from evex.synthetic import build_demo_run, make_synthetic_corpus
 from evex.tuning import GridCell, write_score_table
 
-from util import per_cell_report
+from util import per_cell_report, reference_features, reference_score
 
 F1_KEYS = ("trig_i", "trig_c", "arg_i", "arg_c")
 # a JSON integer that parses but fits no float: float() raises OverflowError on it
@@ -109,32 +110,33 @@ def test_bad_config_section_exits_2_before_any_stage(tmp_path, capsys, section, 
     assert not (tmp_path / "pairs.jsonl").exists()
 
 
-def test_scorer_weights_past_memory_exit_2_at_config_load_and_4_from_a_model(tmp_path, capsys, monkeypatch):
-    """A dim whose weights do not fit in memory is a dim error; the allocation is made to fail, never made."""
+def test_scorer_weights_past_memory_exit_2_from_train_selector_and_4_from_a_model(tmp_path, capsys, monkeypatch):
+    """Config load checks the scorer settings and allocates no weights. A dim whose weights do not
+    fit in memory is a config error where train-selector allocates them, and a data error in a
+    selector.model; the allocation is made to fail, never made."""
     cfg = build_demo_run(tmp_path, seed=9, noisy=True)
     assert run(["pipeline", "--config", cfg, "--run-dir", tmp_path]) == 0
     model = tmp_path / "selector.model"
     model.write_text(json.dumps({**json.loads(model.read_text()), "dim": 2**20}))  # the config's dim is 2**18
+    damaged = model.read_bytes()
     zeros = np.zeros
 
-    def zeros_below(limit):
-        def fake(shape, *args, **kwargs):
-            if isinstance(shape, int) and shape >= limit:
-                raise MemoryError
-            return zeros(shape, *args, **kwargs)
+    def zeros_below(shape, *args, **kwargs):
+        if isinstance(shape, int) and shape >= 2**18:
+            raise MemoryError
+        return zeros(shape, *args, **kwargs)
 
-        return fake
-
-    monkeypatch.setattr(np, "zeros", zeros_below(2**20))
+    monkeypatch.setattr(np, "zeros", zeros_below)
     capsys.readouterr()
     assert run(["predict", "--config", cfg, "--run-dir", tmp_path]) == 4
     err = capsys.readouterr().err
     assert f"error: {model} does not parse (ValueError: dim {2**20} is more weights than memory holds)" in err
-    monkeypatch.setattr(np, "zeros", zeros_below(1))
-    assert run(["predict", "--config", cfg, "--run-dir", tmp_path]) == 2
+    for command in ("preprocess", "evaluate"):  # stages that never score load the config
+        assert run([command, "--config", cfg, "--run-dir", tmp_path]) == 0
+    assert run(["train-selector", "--config", cfg, "--run-dir", tmp_path]) == 2
     err = capsys.readouterr().err
     assert f"error: bad run config {cfg}: dim {2**18} is more weights than memory holds" in err
-    assert "Traceback" not in err
+    assert "Traceback" not in err and model.read_bytes() == damaged
 
 
 @pytest.mark.parametrize(
@@ -425,6 +427,40 @@ def test_report_sweeps_equal_per_cell_evaluation(tmp_path, overrides, joined):
         assert (rd / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
+def write_whole_pair_rank_scores(run_dir: Path, split: str) -> None:
+    """Rewrite rank_scores.{split}.jsonl, under its own header, with each candidate scored from the
+    whole pair's reference features: its context-only n-grams counted too."""
+    path = run_dir / f"rank_scores.{split}.jsonl"
+    header = path.read_text().splitlines(keepends=True)[0]
+    scorer = HashedNgramScorer.from_dict(json.loads((run_dir / "selector.model").read_text()))
+    rows = [
+        [reference_score(scorer, reference_features(scorer, cl.context, c.raw_text)) for c in cl.candidates]
+        for cl in read_candidates(run_dir, split)
+    ]
+    path.write_text(header + "".join(json.dumps(row) + "\n" for row in rows))
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["plain", "noisy"])
+@pytest.mark.parametrize("seed", [0, 3, 7, 9])
+def test_outputs_equal_those_of_whole_pair_rank_scores(tmp_path, seed, noisy):
+    """Candidate-side rank scores select as whole-pair ones do: a run whose cached rank scores
+    come from the whole pairs tunes, predicts, evaluates and reports the same bytes."""
+    ours, whole_pair = tmp_path / "ours", tmp_path / "whole_pair"
+    build_demo_run(ours, seed=seed, noisy=noisy)
+    assert run(["pipeline", "--config", ours / "config.json", "--run-dir", ours]) == 0
+    shutil.copytree(ours, whole_pair)
+    for split in ("dev", "test"):
+        write_whole_pair_rank_scores(whole_pair, split)
+    written = {split: (whole_pair / f"rank_scores.{split}.jsonl").read_bytes() for split in ("dev", "test")}
+    assert written["test"] != (ours / "rank_scores.test.jsonl").read_bytes()
+    for stage in ("tune", "predict", "evaluate", "report"):
+        assert run([stage, "--config", whole_pair / "config.json", "--run-dir", whole_pair]) == 0
+    for split, blob in written.items():  # the stages read the whole-pair scores, never rescored them
+        assert (whole_pair / f"rank_scores.{split}.jsonl").read_bytes() == blob
+    for name in ("predictions.jsonl", "report.json", "tuning.csv", "theta_sweep.csv", "alpha_sweep.csv"):
+        assert (whole_pair / name).read_bytes() == (ours / name).read_bytes()
+
+
 def test_predict_defaults_when_untuned(tmp_path):
     cfg_path = build_demo_run(tmp_path, seed=7)
     rd = tmp_path
@@ -604,12 +640,13 @@ def test_regenerated_candidates_rescore(tmp_path):
 @pytest.mark.parametrize(
     "damage",
     ["missing_row", "short_row", "cut_mid_line", "nan_score", "infinite_score", "past_float_score"]
-    + ["no_header", "meta_number", "meta_list"],
+    + ["no_header", "meta_number", "meta_list", "meta_without_rank_rows"],
 )
 def test_damaged_rank_scores_exit_4_or_rescore(tmp_path, capsys, damage):
-    """Rows out of line with the candidates, or holding a score that is not a
-    finite number, under matching digests are a data error; a cache whose
-    header is missing or not an object matches no digest, so it is scored again."""
+    """Under a matching key, a row that does not parse (cut, or a score that is no
+    finite number) is its reader's data error, and rows out of line with the
+    candidates are a mismatch; a cache whose header is missing or not an object,
+    or does not say its rows are candidate-side, matches no key, so it is scored again."""
     cfg = build_demo_run(tmp_path, seed=9, noisy=True)
     assert run(["pipeline", "--config", cfg, "--run-dir", tmp_path]) == 0
     path = tmp_path / "rank_scores.test.jsonl"
@@ -631,17 +668,25 @@ def test_damaged_rank_scores_exit_4_or_rescore(tmp_path, capsys, damage):
         "no_header": "".join(lines[1:]),
         "meta_number": '{"__meta__": 3}\n' + "".join(lines[1:]),
         "meta_list": '{"__meta__": [1]}\n' + "".join(lines[1:]),
+        # the digests still match; rows of zeros show that the cache is not read
+        "meta_without_rank_rows": json.dumps({"__meta__": {
+            k: v for k, v in json.loads(lines[0])["__meta__"].items() if k != "rank_rows"
+        }}) + "\n" + "".join(json.dumps([0.0] * len(json.loads(line))) + "\n" for line in lines[1:]),
     }
     path.write_text(damaged[damage])
     capsys.readouterr()
     rc = run(["predict", "--config", cfg, "--run-dir", tmp_path])
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    if damage in ("no_header", "meta_number", "meta_list"):
+    if damage in ("no_header", "meta_number", "meta_list", "meta_without_rank_rows"):
         assert rc == 0 and path.read_text() == written
-    else:
+    elif damage in ("missing_row", "short_row"):
         assert rc == 4
         assert f"error: rank score cache {path} does not match candidates.test.jsonl" in err
+        assert "delete it to rescore" in err
+    else:
+        assert rc == 4
+        assert f"error: {path} does not parse" in err and "does not match" not in err
 
 
 def cut_mid_line(path: Path) -> None:
@@ -775,9 +820,7 @@ def test_damaged_artifact_exits_4(tmp_path, capsys, case):
     assert run([command, "--config", cfg, "--run-dir", tmp_path]) == 4
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    # the rank-score cache names its file in its own error, around its reader's
-    cache = f"rank score cache {path} does not match candidates.test.jsonl (" if name.startswith("rank_scores") else ""
-    assert f"error: {cache}{path} does not parse" in err
+    assert f"error: {path} does not parse" in err
 
 
 # [text, score] entries -> whether every score reader accepts them

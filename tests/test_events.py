@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 
@@ -11,6 +12,7 @@ from evex.events import (
     intern_trigger,
     ontology_from_corpus,
 )
+from evex.generation import CandidateList, TriggerCandidate
 
 
 def frame(word, etype, *args):
@@ -44,6 +46,37 @@ def test_interned_value_equals_the_direct_one_and_repeats_as_one_object(intern, 
             intern(raw[0], "")
         with pytest.raises(TypeError):  # unhashable, refused before any validation
             intern(raw[0], ["a list"])
+
+
+def slotted_values(trigger_of, pair_of):
+    """One value of each slotted type, by type name, from triggers and pairs that trigger_of and pair_of build."""
+    trigger, pair = trigger_of("went", "Movement"), pair_of("Place", "home")
+    candidate = TriggerCandidate("went [Movement]", (trigger,), -0.5, 1.25)
+    return {
+        "Trigger": trigger,
+        "ArgumentPair": pair,
+        "EventFrame": EventFrame(trigger, (pair,)),
+        "ContextInstance": ContextInstance("d1", "he went home .", (EventFrame(trigger, (pair,)),)),
+        "TriggerCandidate": candidate,
+        "CandidateList": CandidateList("d1", "he went home .", (candidate,), {"went": (pair,)}),
+    }
+
+
+@pytest.mark.parametrize("name", slotted_values(Trigger, ArgumentPair))
+def test_value_types_are_slotted_and_frozen(name):
+    """No per-instance __dict__; fields stay frozen; values built from interned parts
+    compare and hash equal to those built directly."""
+    value = slotted_values(intern_trigger, intern_pair)[name]
+    direct = slotted_values(Trigger, ArgumentPair)[name]
+    assert type(value).__name__ == name and not hasattr(value, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        setattr(value, fields(value)[0].name, None)
+    # a name that is no field has no slot either; CPython 3.10 and 3.11 raise TypeError there
+    with pytest.raises((FrozenInstanceError, TypeError)):
+        value.extra = 1
+    assert value == direct
+    if name != "CandidateList":  # its argument cache is a dict, so it has no hash
+        assert hash(value) == hash(direct)
 
 
 def test_argument_pair_rejects_empty_fields():

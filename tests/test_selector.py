@@ -1,7 +1,6 @@
 import json
 import math
 import random
-import zlib
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from evex.selector import (
 )
 from evex.synthetic import make_synthetic_corpus, noisy_script, ontology_from_corpus
 
-from util import oracle_fuse_select
+from util import oracle_fuse_select, reference_features, reference_score
 
 CFG = CodecConfig()
 
@@ -140,31 +139,6 @@ def test_scorer_load_rejects_unknown_format(tmp_path):
         HashedNgramScorer.from_dict(json.loads(path.read_text()))
 
 
-def reference_features(scorer, context, candidate_text):
-    """The featurizer as one pass over the whole normalised pair, no memos."""
-    text = f"{context} || {candidate_text}".casefold()
-    text = " ".join(text.split())
-    counts: dict[int, float] = {}
-    tokens = text.split()
-    for n in scorer.word_ngrams:
-        for i in range(len(tokens) - n + 1):
-            key = f"w{n}:" + " ".join(tokens[i : i + n])
-            idx = zlib.crc32(key.encode("utf-8")) % scorer.dim
-            counts[idx] = counts.get(idx, 0.0) + 1.0
-    for n in scorer.char_ngrams:
-        for i in range(len(text) - n + 1):
-            key = f"c{n}:" + text[i : i + n]
-            idx = zlib.crc32(key.encode("utf-8")) % scorer.dim
-            counts[idx] = counts.get(idx, 0.0) + 1.0
-    return counts
-
-
-def reference_score(scorer, feats):
-    """The weights' dot product with an index -> count dict, in its order."""
-    idx = np.fromiter(feats.keys(), dtype=np.intp, count=len(feats))
-    return float(scorer.weights[idx] @ np.fromiter(feats.values(), dtype=np.float64, count=len(feats)))
-
-
 ODD_PIECES = [
     "a", "Bc", " ", "\t", "\n", "ß", "ẞ", "İ", "ǅ", "ΟΔΟΣ", "ς", "[", "]", "[]",
     "||", "|", "😀", "[none]", "x [T]",
@@ -188,17 +162,24 @@ def featurizer_pairs(rng):
     return pairs + rng.sample(pairs, len(pairs))
 
 
+def candidate_side_score(scorer, context, text):
+    return reference_score(scorer, reference_features(scorer, context, text, candidate_side=True))
+
+
 @pytest.mark.parametrize("word_ngrams, char_ngrams", [((1, 2), (3, 4)), ((1, 2, 3), (2, 5)), ((1,), (1,)), ((), (3,))])
 @pytest.mark.parametrize("dim", [7, 64, 2**18])
 def test_features_match_whole_pair_reference(dim, word_ngrams, char_ngrams):
+    """A training row is the whole pair's reference features; a scoring row, and the
+    score, come from the reference's candidate side."""
     rng = random.Random(dim)
     scorer = HashedNgramScorer(dim=dim, word_ngrams=word_ngrams, char_ngrams=char_ngrams)
     scorer.weights = np.random.default_rng(dim).normal(size=dim)
     for context, text in featurizer_pairs(rng):
-        want = reference_features(scorer, context, text)
-        idx, cnt, _ = scorer._rows(context, [text])
-        assert list(zip(idx.tolist(), cnt.tolist())) == list(want.items())
-        assert scorer.score(context, text) == reference_score(scorer, want)
+        for whole_pair in (True, False):
+            want = reference_features(scorer, context, text, candidate_side=not whole_pair)
+            idx, cnt, _ = scorer._rows(context, [text], whole_pair)
+            assert list(zip(idx.tolist(), cnt.tolist())) == list(want.items())
+        assert scorer.score(context, text) == candidate_side_score(scorer, context, text)
 
 
 @pytest.mark.parametrize("dim", [7, 2**18])
@@ -231,13 +212,34 @@ def texts_by_context(pairs):
 @pytest.mark.parametrize("word_ngrams, char_ngrams", [((1, 2), (3, 4)), ((1, 2, 3), (2, 5)), ((1,), (1,)), ((), (3,))])
 @pytest.mark.parametrize("dim", [7, 64, 2**18])
 def test_batched_scores_match_whole_pair_reference(dim, word_ngrams, char_ngrams):
+    """A batch of training rows is the whole pairs' reference features; batched scores
+    are those of the reference's candidate side."""
     rng = random.Random(dim)
     scorer = HashedNgramScorer(dim=dim, word_ngrams=word_ngrams, char_ngrams=char_ngrams)
     scorer.weights = np.random.default_rng(dim).normal(size=dim)
     for context, texts in texts_by_context(featurizer_pairs(rng)).items():
-        want = [reference_score(scorer, reference_features(scorer, context, text)) for text in texts]
+        idx, cnt, cuts = scorer._rows(context, texts)
+        rows = [list(zip(idx[s:e].tolist(), cnt[s:e].tolist())) for s, e in zip(cuts, cuts[1:])]
+        assert rows == [list(reference_features(scorer, context, text).items()) for text in texts]
+        want = [candidate_side_score(scorer, context, text) for text in texts]
         assert scorer.scores(context, texts) == want
         assert [scorer.score(context, text) for text in texts] == want
+
+
+def test_whole_pair_and_candidate_side_scores_differ_by_one_constant_per_context():
+    """The prefix's n-grams add the same to every text of a context, so the candidate-side
+    scores select as the whole-pair ones do: softmax takes the constant out."""
+    rng = random.Random(70)
+    scorer = HashedNgramScorer(dim=2**18)
+    scorer.weights = np.random.default_rng(70).normal(size=scorer.dim)
+    shares = []
+    for context, texts in texts_by_context(featurizer_pairs(rng)).items():
+        whole = np.array([reference_score(scorer, reference_features(scorer, context, text)) for text in texts])
+        side = np.array(scorer.scores(context, texts))
+        assert np.ptp(whole - side) <= 1e-9
+        assert np.abs(softmax(whole) - softmax(side)).max() <= 1e-12
+        shares.append(abs(whole[0] - side[0]))
+    assert max(shares) > 1.0  # the prefix's share is not zero: the two forms differ
 
 
 def test_batched_scores_edge_cases():
@@ -246,13 +248,14 @@ def test_batched_scores_edge_cases():
     context = "troops fired on the crowd ."
     assert scorer.scores(context, []) == []
     texts = ["fired [Attack]", "", "fired [Attack]", "crowd [Meet]", "", "fired [Attack]"]
-    want = [reference_score(scorer, reference_features(scorer, context, t)) for t in texts]
+    want = [candidate_side_score(scorer, context, t) for t in texts]
     assert scorer.scores(context, texts) == want
+    assert want[1] == 0.0  # an empty text has no candidate side: no n-gram but the prefix's
     rng = random.Random(9)
     words = ["fired", "crowd", "bomb", "ẞtraße", "||", "[and]", "x", "😀"]
     texts = [f"{' '.join(rng.choices(words, k=rng.randint(1, 6)))} [T{i}]" for i in range(300)]
     got = scorer.scores(context, texts)
-    assert got == [reference_score(scorer, reference_features(scorer, context, t)) for t in texts]
+    assert got == [candidate_side_score(scorer, context, t) for t in texts]
 
 
 def numpy_attributes(scorer):
@@ -294,7 +297,7 @@ def test_batched_scores_across_memo_resets_match_a_fresh_scorer(dim):
     rng = random.Random(50 + dim)
     weights = np.random.default_rng(dim).normal(size=dim)
     capped = HashedNgramScorer(dim=dim)
-    capped.MEMO_SIZE = 64  # a few pairs fill it, and a chunk holds few rows
+    capped.MEMO_SIZE = 48  # a call or two fills it (scoring rows add no prefix n-grams to the memos)
     capped.weights = weights
     resets = []
     reset_memos = capped._reset_memos
@@ -313,8 +316,8 @@ def test_junction_memo_is_keyed_by_the_prefix_tail():
     scorer.weights = np.random.default_rng(4).normal(size=scorer.dim)
     text = "fired [Attack]"
     for context in ("troops fired", "a bomb exploded", "troops fired"):
-        want = reference_score(scorer, reference_features(scorer, context, text))
-        assert scorer.scores(context, [text]) == [want]
+        assert scorer.scores(context, [text]) == [candidate_side_score(scorer, context, text)]
+    assert scorer.score("troops fired", text) != scorer.score("a bomb exploded", text)
 
 
 def test_scorer_rejects_nonpositive_ngram_length():

@@ -12,7 +12,10 @@ from __future__ import annotations
 import math
 import random
 import string
+import zlib
 from collections import Counter
+
+import numpy as np
 
 from evex.events import ArgumentPair, ContextInstance, EventFrame, Ontology, Trigger
 from evex.generation import CandidateList, frames_from_cache
@@ -102,6 +105,38 @@ def per_cell_report(dev: list[tuple[ContextInstance, CandidateList]], alpha: flo
         for instance, candidates in dev
     ]
     return evaluate_corpus(predictions, [instance for instance, _ in dev])
+
+
+def reference_features(scorer, context: str, candidate_text: str, candidate_side: bool = False) -> dict[int, float]:
+    """The featurizer as one pass over the whole normalised pair, no memos: each
+    hashed n-gram index and its count, in first-appearance order. The candidate
+    side leaves out the n-grams that lie wholly inside the normalised
+    "context ||" prefix, which every candidate of the context shares."""
+    text = " ".join(f"{context} || {candidate_text}".casefold().split())
+    prefix = " ".join(f"{context} ||".casefold().split())
+    # an n-gram starting at i lies inside the prefix when it ends by the prefix's end
+    cut_tokens, cut_chars = (len(prefix.split()), len(prefix)) if candidate_side else (0, 0)
+    counts: dict[int, float] = {}
+    tokens = text.split()
+    for n in scorer.word_ngrams:
+        for i in range(len(tokens) - n + 1):
+            if i + n > cut_tokens:
+                key = f"w{n}:" + " ".join(tokens[i : i + n])
+                idx = zlib.crc32(key.encode("utf-8")) % scorer.dim
+                counts[idx] = counts.get(idx, 0.0) + 1.0
+    for n in scorer.char_ngrams:
+        for i in range(len(text) - n + 1):
+            if i + n > cut_chars:
+                key = f"c{n}:" + text[i : i + n]
+                idx = zlib.crc32(key.encode("utf-8")) % scorer.dim
+                counts[idx] = counts.get(idx, 0.0) + 1.0
+    return counts
+
+
+def reference_score(scorer, feats: dict[int, float]) -> float:
+    """The weights' dot product with an index -> count dict, in its order."""
+    idx = np.fromiter(feats.keys(), dtype=np.intp, count=len(feats))
+    return float(scorer.weights[idx] @ np.fromiter(feats.values(), dtype=np.float64, count=len(feats)))
 
 
 def _subtask_items(frames: list[EventFrame], subtask: str) -> list[tuple]:
