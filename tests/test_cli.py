@@ -20,7 +20,7 @@ from evex.codec import CodecConfig, build_trigger_prompt, encode_trigger_target
 from evex.corpus import load_corpus
 from evex.events import intern_pair, intern_trigger
 from evex.generation import ScriptedBackend, candidate_list_from_dict, parse_hypothesis
-from evex.selector import HashedNgramScorer, kept_mask
+from evex.selector import HashedNgramScorer, select
 from evex.synthetic import build_demo_run, make_synthetic_corpus
 from evex.tuning import GridCell, write_score_table
 
@@ -388,7 +388,7 @@ def scored_lists(run_dir: Path, split: str) -> list:
 
 def kept_parses(candidates, alpha: float, theta: float) -> list:
     """The triggers of the kept candidates, a trigger once per candidate that parses it."""
-    kept = kept_mask(candidates, alpha, theta).tolist()
+    kept = select(candidates, alpha, theta)[0].tolist()
     return [t for c, keep in zip(candidates.candidates, kept) if keep for t in c.triggers]
 
 
@@ -595,6 +595,27 @@ def test_diverged_selector_training_exits_4_and_keeps_the_old_model(tmp_path):
     assert proc.returncode == 4, proc.stderr
     assert "selector_train.learning_rate" in proc.stderr
     assert (tmp_path / "selector.model").read_bytes() == model
+
+
+@pytest.mark.parametrize("signs", ["positive", "alternating"])
+@pytest.mark.parametrize("command, split", [("predict", "test"), ("tune", "dev"), ("report", "test")])
+def test_selector_model_whose_sums_overflow_exits_4(tmp_path, capsys, command, split, signs):
+    """Every weight ±1e308 passes the finite-number rule, but a candidate's score sums past float
+    range (to inf, or to nan where the signs differ): a data error naming selector.model, raised
+    without a traceback and without numpy's overflow warning (the suite makes warnings errors)."""
+    cfg = build_demo_run(tmp_path, seed=9, noisy=True)
+    assert run(["pipeline", "--config", cfg, "--run-dir", tmp_path]) == 0
+    model, cache = tmp_path / "selector.model", tmp_path / f"rank_scores.{split}.jsonl"
+    cached = cache.read_bytes()
+    raw = json.loads(model.read_text())
+    weights = {index: 1e308 if signs == "positive" or i % 2 else -1e308 for i, index in enumerate(raw["weights"])}
+    model.write_text(json.dumps({**raw, "weights": weights}))
+    capsys.readouterr()
+    assert run([command, "--config", cfg, "--run-dir", tmp_path]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"error: {model} scores a {split} candidate past float range" in err
+    assert cache.read_bytes() == cached  # no cache of the damaged model's scores
 
 
 def test_only_gen_candidates_writes_candidates(tmp_path):

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -17,12 +18,13 @@ from evex.selector import (
     hinge_loss,
     sample_negatives,
     score_candidates,
+    select,
     softmax,
     train_selector,
 )
 from evex.synthetic import make_synthetic_corpus, noisy_script, ontology_from_corpus
 
-from util import oracle_fuse_select, reference_features, reference_score
+from util import oracle_fuse_select, oracle_selected_triggers, reference_features, reference_score
 
 CFG = CodecConfig()
 
@@ -605,6 +607,43 @@ def test_empty_candidate_list_and_no_event_candidate():
     cl = make_candidates([("[none]", -0.1), ("w [T]", -5.0)]).with_rank_scores([0.0, 0.0])
     selected = fuse_and_select(cl, None, SelectionConfig(alpha=0.5, theta=0.05))
     assert selected == [Trigger("w", "T")]  # the no-event candidate adds nothing
+
+
+def test_selected_triggers_keep_their_order_over_all_candidates():
+    """Selected triggers come in first-appearance order over all of the doc's
+    candidates, kept or not: a dropped candidate that parses b first puts b first."""
+    a, b = Trigger("a", "T"), Trigger("b", "T")
+    candidates = (TriggerCandidate("b [T]", (b,), 0.0), TriggerCandidate("a [T] [and] b [T]", (a, b), 0.0))
+    cl = CandidateList("d", "ctx", candidates).with_rank_scores([0.0, 5.0])
+    kept, triggers, selected = select(cl, 1.0, 0.5)
+    assert kept.tolist() == [False, True]
+    assert triggers == [b, a] and selected.tolist() == [True, True]
+    assert fuse_and_select(cl, None, SelectionConfig(alpha=1.0, theta=0.5)) == [b, a]
+    assert oracle_selected_triggers(cl, 1.0, 0.5) == [b, a]
+
+
+def test_select_rows_equal_its_one_cell_cases():
+    """Columns of alphas and thetas give one row per cell, each the bits of that cell alone."""
+    rng = random.Random(36)
+    for _ in range(100):
+        n = rng.randint(0, 8)
+        words = [f"w{i}" for i in range(4)]
+        candidates = tuple(
+            TriggerCandidate(f"c{i}", tuple(Trigger(w, "T") for w in rng.sample(words, rng.randint(0, 2))),
+                             rng.uniform(-4, 0), rank_score=rng.uniform(-2, 2))
+            for i in range(n)
+        )
+        cl = CandidateList("d", "ctx", candidates)
+        cells = [(rng.choice([0.0, 0.5, 1.0, rng.random()]), rng.choice([0.0, 0.25, rng.random()])) for _ in range(6)]
+        alphas, thetas = np.array(cells).T[:, :, None]
+        kept, triggers, selected = select(cl, alphas, thetas)
+        assert kept.shape == (len(cells), n) and selected.shape == (len(cells), len(triggers))
+        assert triggers == list(dict.fromkeys(t for c in candidates for t in c.triggers))
+        for (alpha, theta), kept_row, selected_row in zip(cells, kept, selected):
+            one_kept, one_triggers, one_selected = select(cl, alpha, theta)
+            assert one_triggers == triggers
+            assert one_kept.tolist() == kept_row.tolist() and one_selected.tolist() == selected_row.tolist()
+            assert list(compress(triggers, one_selected)) == oracle_selected_triggers(cl, alpha, theta)
 
 
 def test_fuse_and_select_requires_scores_or_scorer():

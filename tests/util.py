@@ -2,9 +2,10 @@
 
 The oracles here deliberately reimplement behavior from scratch (pure
 python, no calls into the code under test) so the tests cross-check two
-routes to the same answer. The one exception, per_cell_report, is the
-per-doc library route (one cell, one doc at a time) that the grid sweep,
-which scores every cell of a doc in one pass, must agree with.
+routes to the same answer. per_cell_report selects by brute force, one
+candidate, doc and cell at a time, and reuses only the library's argument
+cache (frames_from_cache) and its corpus count (evaluate_corpus): the grid
+sweep, which selects every cell of a doc in one pass, must agree with it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 from evex.events import ArgumentPair, ContextInstance, EventFrame, Ontology, Trigger
 from evex.generation import CandidateList, frames_from_cache
 from evex.metrics import EvalReport, evaluate_corpus
-from evex.selector import SelectionConfig, fuse_and_select
 
 SAFE_CHARS = string.ascii_lowercase + "-'"
 
@@ -94,14 +94,28 @@ def oracle_fuse_select(
     return fused, {i for i, f in enumerate(fused) if f > theta}
 
 
+def oracle_selected_triggers(candidates: CandidateList, alpha: float, theta: float) -> list[Trigger]:
+    """Brute-force selection of one doc: oracle_fuse_select over the cached rank scores, then
+    every trigger a kept candidate parses, each once, in first-appearance order over all candidates."""
+    cands = candidates.candidates
+    if not cands:
+        return []
+    _, kept = oracle_fuse_select([c.rank_score for c in cands], [c.beam_score for c in cands], alpha, theta)
+    selected: list[Trigger] = []
+    for candidate in cands:
+        for trigger in candidate.triggers:
+            if trigger not in selected and any(trigger in cands[i].triggers for i in kept):
+                selected.append(trigger)
+    return selected
+
+
 def per_cell_report(dev: list[tuple[ContextInstance, CandidateList]], alpha: float, theta: float) -> EvalReport:
     """The report of one (alpha, theta) cell, one doc at a time: each doc's
-    triggers from fuse_and_select over its cached rank scores, their frames
-    from the argument cache, and the split counted by evaluate_corpus. The
-    oracle of tuning.sweep_selection, which scores all cells of a doc at once."""
-    cfg = SelectionConfig(alpha, theta)
+    triggers from oracle_selected_triggers, their frames from the argument
+    cache, and the split counted by evaluate_corpus. The oracle of
+    tuning.sweep_selection, which selects all cells of a doc at once."""
     predictions = [
-        (instance.doc_id, frames_from_cache(candidates, fuse_and_select(candidates, scorer=None, cfg=cfg)))
+        (instance.doc_id, frames_from_cache(candidates, oracle_selected_triggers(candidates, alpha, theta)))
         for instance, candidates in dev
     ]
     return evaluate_corpus(predictions, [instance for instance, _ in dev])
