@@ -269,12 +269,14 @@ def cmd_train_selector(cfg: RunConfig, run_dir: Path, args: argparse.Namespace) 
     except ValueError as exc:  # weights past memory: config load checks the settings, allocating nothing
         raise ConfigError(f"bad run config {cfg.path}: {exc}") from exc
     try:
-        result = train_selector(scorer, data, train_cfg, cfg.codec)
+        with np.errstate(over="ignore", invalid="ignore"):  # a divergence is refused below, without numpy's warnings
+            result = train_selector(scorer, data, train_cfg, cfg.codec)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    if not np.isfinite(scorer.weights).all():  # a selector.model no reader accepts; the old one stays
+    # non-finite weights make a selector.model no reader accepts, and a non-finite loss one that is not JSON; the old stays
+    if not (np.isfinite(scorer.weights).all() and np.isfinite(result.loss_per_epoch).all()):
         rate = train_cfg.learning_rate
-        raise DataError(f"training diverged to non-finite weights: lower selector_train.learning_rate ({rate:g})")
+        raise DataError(f"training diverged (non-finite loss or weights): lower selector_train.learning_rate ({rate:g})")
     scorer.save(run_dir / "selector.model", extra={"config_hash": cfg.hash, "train": asdict(result)})
     log.info(
         "train-selector: %d trained / %d skipped, first epoch loss %.4f, last %.4f",

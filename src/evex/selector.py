@@ -12,15 +12,14 @@ counts of "context || candidate", trained by stochastic subgradient descent.
 Most of a pair's n-grams lie in the shared "context ||" prefix; they add the
 same to every candidate of a context, which softmax removes, so scores()
 counts each candidate's side alone: its text's n-grams and those across the
-" || " junction (training counts the whole pair). Texts and n-grams of a
-corpus repeat, so the scorer hashes each distinct n-gram once into a dense id
-and memoises each text's ids with the junction's. numpy counts the id streams
-of a context's candidates, in one pass, into feature rows (hashed indices and
-counts, in first-appearance order). Building rows again in every epoch would
-dominate training, so the scorer keeps a feature table of each unique pair's
-row it has trained on. One hinge pass over those rows (_hinge) gives the batch
-loss and its subgradient;
-train_step applies it to the weights and loss_and_grad returns it as a dict.
+" || " junction (training counts the whole pair). A feature row is a dict
+count of a pair's hashed n-gram indices, in first-appearance order. Texts
+repeat within a corpus, so the scorer memoises each candidate-side row per
+(prefix tail, text). Building rows again in every epoch would dominate
+training, so the scorer keeps a feature table of each unique pair's row it
+has trained on. One hinge pass over those rows (_hinge) gives the batch loss
+and its subgradient; train_step applies it to the weights and loss_and_grad
+returns it as a dict.
 """
 
 from __future__ import annotations
@@ -28,10 +27,10 @@ from __future__ import annotations
 import json
 import random
 import zlib
-from array import array
-from collections.abc import Sequence
+from collections import Counter
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress
 from pathlib import Path
 
 import numpy as np
@@ -81,21 +80,22 @@ class SelectionConfig:
                 raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
 
 
-class _GramIds(dict):
-    """One n-gram family's memo: n-gram -> dense id of its hashed index. A
-    miss hashes the n-gram; n-grams that collide, within or across families,
-    share an id through `ids` (index -> id), and `indices` maps ids back."""
+class _GramIndices(dict):
+    """One n-gram family's memo: n-gram -> its hashed index, crc32 of the family tag and the n-gram, mod dim."""
 
-    def __init__(self, family: str, dim: int, ids: dict[int, int], indices: array):
+    def __init__(self, family: str, dim: int):
         super().__init__()
-        self.family, self.dim, self.ids, self.indices = family, dim, ids, indices
+        self.family, self.dim = family, dim
 
     def __missing__(self, gram: str) -> int:
-        index = zlib.crc32(f"{self.family}{gram}".encode("utf-8")) % self.dim
-        gid = self[gram] = self.ids.setdefault(index, len(self.ids))
-        if gid == len(self.indices):
-            self.indices.append(index)
-        return gid
+        index = self[gram] = zlib.crc32(f"{self.family}{gram}".encode("utf-8")) % self.dim
+        return index
+
+
+def _count(stream: Iterable[int]) -> FeatureRow:
+    """The feature row of a stream of hashed indices: a dict count, its indices and counts in first-appearance order."""
+    counts = Counter(stream)
+    return np.fromiter(counts, np.uint32, len(counts)), np.fromiter(counts.values(), np.float64, len(counts))
 
 
 class HashedNgramScorer:
@@ -112,25 +112,17 @@ class HashedNgramScorer:
     lies inside the prefix, inside the candidate, or across the junction (at
     most n - 1 word n-grams, n char n-grams, per family), which reaches only
     the prefix's tail: its last max(word_ngrams) - 1 tokens and
-    max(char_ngrams) - 1 chars, "||" / " ||" at the default lengths. Each
-    family memoises n-gram -> dense id (_GramIds), so a distinct n-gram is
-    hashed once, and each text's ids are memoised per (tail, text): those of
-    the text placed behind the tail, junction n-grams included (_ids
-    enumerates both sides). Ids depend on dim and the n-gram lengths, never on
-    the weights. The memos are emptied together when a batch starts with
-    MEMO_SIZE entries or more, so they hold at most that plus one batch's.
+    max(char_ngrams) - 1 chars, "||" / " ||" at the default lengths.
 
-    scores() and _hinge build the rows of a context's candidates in one pass
-    (_rows): one np.minimum.at, a ufunc, as repeated fancy-index writes have
-    no set order, on the call's scratch of one slot per (row, id) finds each
-    id's first position in its row's id stream (the order a whole-string pass
-    emits the n-grams). First occurrences and bincount over first positions
-    give each row's (index, count) vector of a dict count of its stream, in
-    its order, so every score is the same float as a pair's alone where numpy's
-    BLAS ddot sums a slice and a fresh array in the same order; some OpenBLAS
-    kernels do not (ROADMAP #2). The training table keeps counts as float32,
-    exact for integer counts below 2**24. dim lies in [1, 2**32]; from_dict checks each
-    stored weight with events.is_finite_number, the rule of every score read from a file.
+    A row is a dict count of the pair's hashed indices (_count) in the order a
+    whole-pair pass emits them. Each family memoises n-gram -> index
+    (_GramIndices) and each candidate-side row is memoised, finished, per
+    (tail, text); neither depends on the weights. The memos are emptied
+    together when a call starts with MEMO_SIZE entries or more. A score is a
+    dot product of a fresh gather of the weights with a row's own counts, as
+    the tests' per-pair reference computes it. The training table keeps counts
+    as float32, exact below 2**24. dim lies in [1, 2**32]; from_dict checks
+    each stored weight with events.is_finite_number.
     """
 
     MEMO_SIZE = 2**14
@@ -162,68 +154,54 @@ class HashedNgramScorer:
         return dim, word_ngrams, char_ngrams
 
     def _reset_memos(self) -> None:
-        """Empty the id memos (ids, never scores: a weight update cannot stale them)."""
-        ids, self._indices = {}, array("I")
+        """Empty the n-gram and row memos (counts, never scores: a weight update cannot stale them)."""
         families = [f"w{n}:" for n in self.word_ngrams] + [f"c{n}:" for n in self.char_ngrams]
-        self._grams = [_GramIds(family, self.dim, ids, self._indices) for family in families]
-        self._text_memo: dict[tuple[tuple, str], list[array]] = {}
+        self._grams = [_GramIndices(family, self.dim) for family in families]
+        self._row_memo: dict[tuple[tuple, str], FeatureRow] = {}
 
-    def _ids(self, words: Sequence[Sequence[str]], chars: Sequence[str]) -> list[array]:
-        """Per n-gram family, the ids of the n-grams of its token list (word
+    def _indices(self, words: Sequence[Sequence[str]], chars: Sequence[str]) -> list[list[int]]:
+        """Per n-gram family, the hashed indices of the n-grams of its token list (word
         families, in word_ngrams order) or string (char families)."""
         grams = [[" ".join(t[i : i + n]) for i in range(len(t) - n + 1)] for n, t in zip(self.word_ngrams, words)]
         grams += [[s[i : i + n] for i in range(len(s) - n + 1)] for n, s in zip(self.char_ngrams, chars)]
-        # from a list, which sizes the array exactly (from an iterator it over-allocates, and memos keep it)
-        return [array("I", list(map(memo.__getitem__, g))) for memo, g in zip(self._grams, grams)]
+        return [list(map(memo.__getitem__, g)) for memo, g in zip(self._grams, grams)]
 
-    def _rows(self, context: str, texts: Sequence[str], whole_pair: bool = True) -> tuple[np.ndarray, np.ndarray, list]:
-        """Row r, [cuts[r], cuts[r + 1]), holds the hashed n-gram indices of the normalised
-        "context || texts[r]" and their counts, in first-appearance order: word families,
-        then char families, each as the prefix's n-grams, then the text's. The text's
-        n-grams are those of the text behind the prefix tail's last n - 1 tokens (chars:
-        tail chars, the joining space, the text; nothing for an empty text). Without
-        whole_pair a row holds the text's n-grams alone, its candidate side."""
-        if len(self._text_memo) + sum(map(len, self._grams)) >= self.MEMO_SIZE:
+    def _rows(self, context: str, texts: Sequence[str], whole_pair: bool = True) -> list[FeatureRow]:
+        """Per text, the hashed n-gram indices of the normalised "context || text" and their
+        counts, in first-appearance order: word families, then char families, each as the
+        prefix's n-grams, then the text's. The text's n-grams are those of the text behind
+        the prefix tail's last n - 1 tokens (chars: tail chars, the joining space, the text;
+        nothing for an empty text). Without whole_pair a row holds the text's n-grams alone,
+        its candidate side, and is memoised."""
+        if len(self._row_memo) + sum(map(len, self._grams)) >= self.MEMO_SIZE:
             self._reset_memos()
         tokens = context.casefold().split() + ["||"]
         prefix = " ".join(tokens)
         counted = (tokens, prefix) if whole_pair else ([], "")  # the prefix adds the same to every row of the context
-        prefix_parts = self._ids([counted[0]] * len(self.word_ngrams), [counted[1]] * len(self.char_ngrams))
+        prefix_parts = self._indices([counted[0]] * len(self.word_ngrams), [counted[1]] * len(self.char_ngrams))
         # per family, the prefix's tail: its last n - 1 tokens or chars, all a junction n-gram reaches
         tail = (
             tuple(tuple(tokens[max(0, len(tokens) - n + 1) :]) for n in self.word_ngrams),
             tuple(prefix[max(0, len(prefix) - n + 1) :] for n in self.char_ngrams),
         )
-        stream, ends = array("I"), [0]
+        memo = {} if whole_pair else self._row_memo  # a whole-pair row is kept in _table, under its context
+        rows = []
         for text in texts:
-            pieces = self._text_memo.get((tail, text))
-            if pieces is None:
+            row = memo.get((tail, text))
+            if row is None:
                 tokens = text.casefold().split()
                 joined = " ".join(tokens)
                 words = [[*t, *tokens] for t in tail[0]]
                 chars = [f"{t} {joined}" if joined else "" for t in tail[1]]
-                pieces = self._text_memo[tail, text] = self._ids(words, chars)
-            for prefix_part, piece in zip(prefix_parts, pieces):
-                stream += prefix_part
-                stream += piece
-            ends.append(len(stream))
-        n_ids = len(self._indices)
-        ids = np.frombuffer(stream, dtype=np.uint32)
-        keys = ids + np.repeat(np.arange(len(texts)) * n_ids, [e - s for s, e in zip(ends, ends[1:])])
-        positions = np.arange(len(ids), dtype=np.int32)
-        first = np.full(len(texts) * n_ids, len(ids), dtype=np.int32)  # one slot per (row, id), past every position
-        np.minimum.at(first, keys, positions)
-        first = first[keys]
-        kept = np.flatnonzero(first == positions)
-        counts = np.bincount(first, minlength=len(ids))[kept].astype(np.float64)
-        indices = np.frombuffer(self._indices, dtype=np.uint32)[ids[kept]]
-        return indices, counts, [0, *np.searchsorted(kept, ends[1:]).tolist()]
+                parts = zip(prefix_parts, self._indices(words, chars))
+                row = memo[tail, text] = _count(chain.from_iterable(chain.from_iterable(parts)))
+            rows.append(row)
+        return rows
 
     def scores(self, context: str, texts: Sequence[str]) -> list[float]:
-        """Relevance of each text to the context from its candidate-side row, in one batch."""
-        idx, cnt, cuts = self._rows(context, texts, whole_pair=False)
-        weights = self.weights[idx]
-        return [float(weights[s:e] @ cnt[s:e]) for s, e in zip(cuts, cuts[1:])]
+        """Relevance of each text to the context from its candidate-side row."""
+        weights = self.weights
+        return [float(weights[idx] @ cnt) for idx, cnt in self._rows(context, texts, whole_pair=False)]
 
     def score(self, context: str, candidate_text: str) -> float:
         """Relevance of a candidate text to its context (scores, one text)."""
@@ -246,10 +224,9 @@ class HashedNgramScorer:
             for text in (positive, *negatives):
                 if (context, text) not in table:
                     missing.setdefault(context, {})[text] = None
-        for context, texts in missing.items():  # one _rows batch per context
-            idx, cnt, cuts = self._rows(context, list(texts))
-            cnt = cnt.astype(np.float32)
-            table.update({(context, text): (idx[s:e], cnt[s:e]) for text, s, e in zip(texts, cuts, cuts[1:])})
+        for context, texts in missing.items():  # one _rows call per context
+            rows = self._rows(context, list(texts))
+            table.update({(context, text): (idx, cnt.astype(np.float32)) for text, (idx, cnt) in zip(texts, rows)})
         loss = 0.0
         idx_parts: list[np.ndarray] = []
         val_parts: list[np.ndarray] = []
@@ -394,7 +371,8 @@ def softmax(scores: Sequence[float]) -> np.ndarray:
     arr = np.asarray(scores, dtype=np.float64)
     if not arr.size:
         return arr
-    exp = np.exp(arr - arr.max())
+    with np.errstate(over="ignore"):  # scores spanning past float range: exp(-inf) is the limit, 0
+        exp = np.exp(arr - arr.max())
     return exp / exp.sum()
 
 

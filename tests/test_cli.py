@@ -597,6 +597,43 @@ def test_diverged_selector_training_exits_4_and_keeps_the_old_model(tmp_path):
     assert (tmp_path / "selector.model").read_bytes() == model
 
 
+def test_selector_training_to_an_infinite_loss_exits_4_and_keeps_the_old_model(tmp_path, capsys):
+    """At learning rate 1e306 the weights stay finite but an epoch's loss overflows to inf:
+    a divergence, refused before selector.model is written (its loss_per_epoch would not be JSON),
+    and without numpy's overflow warnings (the suite makes warnings errors)."""
+    cfg_path = build_demo_run(tmp_path, seed=3, noisy=True)
+    assert run(["preprocess", "--config", cfg_path, "--run-dir", tmp_path]) == 0
+    assert run(["gen-candidates", "--config", cfg_path, "--run-dir", tmp_path, "--split", "train"]) == 0
+    assert run(["train-selector", "--config", cfg_path, "--run-dir", tmp_path]) == 0
+    model = (tmp_path / "selector.model").read_bytes()
+    cfg = json.loads(cfg_path.read_text())
+    cfg.setdefault("selector_train", {})["learning_rate"] = 1e306
+    cfg_path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert run(["train-selector", "--config", cfg_path, "--run-dir", tmp_path]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "error: training diverged (non-finite loss or weights): lower selector_train.learning_rate (1e+306)" in err
+    assert (tmp_path / "selector.model").read_bytes() == model
+
+
+def test_rank_scores_spanning_past_float_range_select_without_a_warning(tmp_path, capsys):
+    """Two cached rank scores of one doc, 1e308 and -1e308, are each finite, but their softmax
+    subtracts past float range: the doc selects as if the second's probability were 0."""
+    cfg = build_demo_run(tmp_path, seed=9, noisy=True)
+    assert run(["pipeline", "--config", cfg, "--run-dir", tmp_path]) == 0
+    path = tmp_path / "rank_scores.test.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    row = json.loads(lines[1])
+    assert len(row) >= 2
+    lines[1] = json.dumps([1e308, -1e308, *row[2:]]) + "\n"
+    path.write_text("".join(lines))
+    capsys.readouterr()
+    assert run(["predict", "--config", cfg, "--run-dir", tmp_path]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert path.read_text() == "".join(lines)  # the cache was read, not scored again
+
+
 @pytest.mark.parametrize("signs", ["positive", "alternating"])
 @pytest.mark.parametrize("command, split", [("predict", "test"), ("tune", "dev"), ("report", "test")])
 def test_selector_model_whose_sums_overflow_exits_4(tmp_path, capsys, command, split, signs):

@@ -1,11 +1,16 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from itertools import compress
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import evex
 from evex.codec import CodecConfig
 from evex.events import Trigger
 from evex.generation import CandidateList, TriggerCandidate
@@ -179,7 +184,7 @@ def test_features_match_whole_pair_reference(dim, word_ngrams, char_ngrams):
     for context, text in featurizer_pairs(rng):
         for whole_pair in (True, False):
             want = reference_features(scorer, context, text, candidate_side=not whole_pair)
-            idx, cnt, _ = scorer._rows(context, [text], whole_pair)
+            [(idx, cnt)] = scorer._rows(context, [text], whole_pair)
             assert list(zip(idx.tolist(), cnt.tolist())) == list(want.items())
         assert scorer.score(context, text) == candidate_side_score(scorer, context, text)
 
@@ -197,7 +202,7 @@ def test_rows_across_memo_resets_match_a_fresh_scorer(dim):
     for context, text in featurizer_pairs(rng):
         fresh = HashedNgramScorer(dim=dim)
         fresh.weights = weights
-        (got_idx, got_cnt), (want_idx, want_cnt) = capped._rows(context, [text])[:2], fresh._rows(context, [text])[:2]
+        [(got_idx, got_cnt)], [(want_idx, want_cnt)] = capped._rows(context, [text]), fresh._rows(context, [text])
         assert got_idx.tolist() == want_idx.tolist() and got_cnt.tolist() == want_cnt.tolist()
         assert capped.score(context, text) == fresh.score(context, text)
     assert len(resets) > 20
@@ -220,8 +225,7 @@ def test_batched_scores_match_whole_pair_reference(dim, word_ngrams, char_ngrams
     scorer = HashedNgramScorer(dim=dim, word_ngrams=word_ngrams, char_ngrams=char_ngrams)
     scorer.weights = np.random.default_rng(dim).normal(size=dim)
     for context, texts in texts_by_context(featurizer_pairs(rng)).items():
-        idx, cnt, cuts = scorer._rows(context, texts)
-        rows = [list(zip(idx[s:e].tolist(), cnt[s:e].tolist())) for s, e in zip(cuts, cuts[1:])]
+        rows = [list(zip(idx.tolist(), cnt.tolist())) for idx, cnt in scorer._rows(context, texts)]
         assert rows == [list(reference_features(scorer, context, text).items()) for text in texts]
         want = [candidate_side_score(scorer, context, text) for text in texts]
         assert scorer.scores(context, texts) == want
@@ -260,12 +264,45 @@ def test_batched_scores_edge_cases():
     assert got == [candidate_side_score(scorer, context, t) for t in texts]
 
 
+# scores a batch of 300 texts and checks each score against the per-pair reference, bit for bit
+SCORES_AGAINST_REFERENCE = """
+import random
+import numpy as np
+from evex.selector import HashedNgramScorer
+from util import reference_features, reference_score
+scorer = HashedNgramScorer(dim=2**18)
+scorer.weights = np.random.default_rng(3).normal(size=scorer.dim)
+rng = random.Random(9)
+words = ["fired", "crowd", "bomb", "ẞtraße", "||", "[and]", "x", "😀"]
+texts = [f"{' '.join(rng.choices(words, k=rng.randint(1, 6)))} [T{i}]" for i in range(300)]
+context = "troops fired on the crowd ."
+want = [reference_score(scorer, reference_features(scorer, context, t, candidate_side=True)) for t in texts]
+got = scorer.scores(context, texts)
+assert got == want, [(g, w) for g, w in zip(got, want) if g != w][:3]
+"""
+
+
+def test_scores_do_not_depend_on_where_a_row_sits_in_memory():
+    """Under OPENBLAS_CORETYPE=Prescott, OpenBLAS's ddot sums in an order that depends on
+    where its operands sit in memory, so a row read as a slice of a longer array can differ
+    from the reference's fresh arrays in its last bits. Batched scores must still equal the
+    per-pair reference. The variable acts on the process it is set for, so the check runs in
+    a subprocess. It passes trivially where numpy's BLAS is not OpenBLAS with DYNAMIC_ARCH,
+    which ignores the variable."""
+    paths = [str(Path(evex.__file__).parents[1]), str(Path(__file__).parent)]
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott", "PYTHONPATH": os.pathsep.join(paths)}
+    proc = subprocess.run(
+        [sys.executable, "-c", SCORES_AGAINST_REFERENCE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def numpy_attributes(scorer):
     return {name: value.shape for name, value in vars(scorer).items() if isinstance(value, np.ndarray)}
 
 
 def test_scoring_keeps_no_array_sized_by_a_call():
-    """The scratch of a batch lives for its call: a long list leaves only the weights."""
+    """A long list leaves no array attribute but the weights: its rows live in the capped row memo."""
     scorer = HashedNgramScorer(dim=2**18)
     before = numpy_attributes(scorer)
     rng = random.Random(11)
@@ -276,7 +313,7 @@ def test_scoring_keeps_no_array_sized_by_a_call():
 
 
 def memo_entries(scorer):
-    return len(scorer._text_memo) + sum(map(len, scorer._grams))
+    return len(scorer._row_memo) + sum(map(len, scorer._grams))
 
 
 @pytest.mark.parametrize("dim", [7, 2**18])
@@ -521,6 +558,12 @@ def test_softmax_singleton_and_stability():
     assert softmax([3.7]) == [1.0]
     big = softmax([1000.0, 999.0])
     assert big[0] > big[1] and abs(sum(big) - 1.0) < 1e-12
+
+
+def test_softmax_of_scores_spanning_past_float_range():
+    """Each score is finite, but their difference overflows to -inf: exp takes it to 0, without a warning."""
+    assert softmax([1e308, -1e308]).tolist() == [1.0, 0.0]
+    assert softmax([-1e308, 2.0, 1e308]).tolist() == [0.0, 0.0, 1.0]
 
 
 def test_fuse_worked_example():
