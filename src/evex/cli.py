@@ -10,7 +10,8 @@ the run directory lies. Stages read and write the run directory:
     candidates.{split}.jsonl  candidate raw texts, beam scores and cached arguments
                               (written by gen-candidates only)
     rank_scores.{split}.jsonl candidate-side rank-score cache, keyed by the
-                              selector.model and candidates file digests
+                              selector.model and candidates file digests (written
+                              by whichever of tune, predict and report finds it stale)
     selector.model            rank scorer parameters + training trace
     tuning.csv / tuned.json   grid-search table and chosen (alpha, theta), keyed by
                               the selector.model digest

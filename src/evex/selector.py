@@ -13,13 +13,11 @@ Most of a pair's n-grams lie in the shared "context ||" prefix; they add the
 same to every candidate of a context, which softmax removes, so scores()
 counts each candidate's side alone: its text's n-grams and those across the
 " || " junction (training counts the whole pair). A feature row is a dict
-count of a pair's hashed n-gram indices, in first-appearance order. Texts
-repeat within a corpus, so the scorer memoises each candidate-side row per
-(prefix tail, text). Building rows again in every epoch would dominate
-training, so the scorer keeps a feature table of each unique pair's row it
-has trained on. One hinge pass over those rows (_hinge) gives the batch loss
-and its subgradient; train_step applies it to the weights and loss_and_grad
-returns it as a dict.
+count of a pair's hashed n-gram indices, in first-appearance order. Rows
+never depend on the weights, and texts repeat within a corpus and across
+epochs, so the scorer stores every row it builds, once. One hinge pass over
+those rows (_hinge) gives the batch loss and its subgradient; train_step
+applies it to the weights and loss_and_grad returns it as a dict.
 """
 
 from __future__ import annotations
@@ -95,7 +93,7 @@ class _GramIndices(dict):
 def _count(stream: Iterable[int]) -> FeatureRow:
     """The feature row of a stream of hashed indices: a dict count, its indices and counts in first-appearance order."""
     counts = Counter(stream)
-    return np.fromiter(counts, np.uint32, len(counts)), np.fromiter(counts.values(), np.float64, len(counts))
+    return np.fromiter(counts, np.uint32, len(counts)), np.fromiter(counts.values(), np.float32, len(counts))
 
 
 class HashedNgramScorer:
@@ -116,16 +114,17 @@ class HashedNgramScorer:
 
     A row is a dict count of the pair's hashed indices (_count) in the order a
     whole-pair pass emits them. Each family memoises n-gram -> index
-    (_GramIndices) and each candidate-side row is memoised, finished, per
-    (tail, text); neither depends on the weights. The memos are emptied
-    together when a call starts with MEMO_SIZE entries or more. A score is a
-    dot product of a fresh gather of the weights with a row's own counts, as
-    the tests' per-pair reference computes it. The training table keeps counts
-    as float32, exact below 2**24. dim lies in [1, 2**32]; from_dict checks
-    each stored weight with events.is_finite_number.
+    (_GramIndices), and one dict stores every row built, finished: a
+    whole-pair (training) row under (context, text), a candidate-side
+    (scoring) row under (tail, text). Neither depends on the weights, and
+    neither is capped: each holds one entry per distinct n-gram or pair the
+    scorer has seen, and each CLI stage builds a fresh scorer. Counts are
+    float32, exact below 2**24. A score is a dot product of a fresh gather of
+    the weights with a row's own counts, as the tests' per-pair reference
+    computes it. dim lies in [1, 2**32]; from_dict checks each stored weight
+    with events.is_finite_number.
     """
 
-    MEMO_SIZE = 2**14
     FORMAT = "hashed-ngram-linear/1"
 
     def __init__(self, **settings):
@@ -135,9 +134,10 @@ class HashedNgramScorer:
             self.weights = np.zeros(self.dim, dtype=np.float64)
         except MemoryError:
             raise ValueError(f"dim {self.dim} is more weights than memory holds") from None
-        # (context, text) -> FeatureRow of _hinge; rows never depend on the weights
-        self._table: dict[tuple[str, str], FeatureRow] = {}
-        self._reset_memos()
+        families = [f"w{n}:" for n in self.word_ngrams] + [f"c{n}:" for n in self.char_ngrams]
+        self._grams = [_GramIndices(family, self.dim) for family in families]
+        # (context or prefix tail, text) -> FeatureRow, whole-pair under a context, candidate-side under a tail
+        self._stored: dict[tuple[str | tuple, str], FeatureRow] = {}
 
     @staticmethod
     def checked_settings(dim: int = 2**18, word_ngrams: Sequence[int] = (1, 2), char_ngrams: Sequence[int] = (3, 4)):
@@ -153,12 +153,6 @@ class HashedNgramScorer:
             raise ValueError("at least one n-gram length is needed, in word_ngrams or char_ngrams")
         return dim, word_ngrams, char_ngrams
 
-    def _reset_memos(self) -> None:
-        """Empty the n-gram and row memos (counts, never scores: a weight update cannot stale them)."""
-        families = [f"w{n}:" for n in self.word_ngrams] + [f"c{n}:" for n in self.char_ngrams]
-        self._grams = [_GramIndices(family, self.dim) for family in families]
-        self._row_memo: dict[tuple[tuple, str], FeatureRow] = {}
-
     def _indices(self, words: Sequence[Sequence[str]], chars: Sequence[str]) -> list[list[int]]:
         """Per n-gram family, the hashed indices of the n-grams of its token list (word
         families, in word_ngrams order) or string (char families)."""
@@ -172,9 +166,11 @@ class HashedNgramScorer:
         prefix's n-grams, then the text's. The text's n-grams are those of the text behind
         the prefix tail's last n - 1 tokens (chars: tail chars, the joining space, the text;
         nothing for an empty text). Without whole_pair a row holds the text's n-grams alone,
-        its candidate side, and is memoised."""
-        if len(self._row_memo) + sum(map(len, self._grams)) >= self.MEMO_SIZE:
-            self._reset_memos()
+        its candidate side. Each row is built once and stored; a call whose whole-pair rows
+        are all stored tokenises and hashes nothing."""
+        stored = self._stored
+        if whole_pair and all((context, text) in stored for text in texts):
+            return [stored[context, text] for text in texts]
         tokens = context.casefold().split() + ["||"]
         prefix = " ".join(tokens)
         counted = (tokens, prefix) if whole_pair else ([], "")  # the prefix adds the same to every row of the context
@@ -184,17 +180,17 @@ class HashedNgramScorer:
             tuple(tuple(tokens[max(0, len(tokens) - n + 1) :]) for n in self.word_ngrams),
             tuple(prefix[max(0, len(prefix) - n + 1) :] for n in self.char_ngrams),
         )
-        memo = {} if whole_pair else self._row_memo  # a whole-pair row is kept in _table, under its context
+        owner = context if whole_pair else tail  # a candidate-side row is the same after every context of one tail
         rows = []
         for text in texts:
-            row = memo.get((tail, text))
+            row = stored.get((owner, text))
             if row is None:
                 tokens = text.casefold().split()
                 joined = " ".join(tokens)
                 words = [[*t, *tokens] for t in tail[0]]
                 chars = [f"{t} {joined}" if joined else "" for t in tail[1]]
                 parts = zip(prefix_parts, self._indices(words, chars))
-                row = memo[tail, text] = _count(chain.from_iterable(chain.from_iterable(parts)))
+                row = stored[owner, text] = _count(chain.from_iterable(chain.from_iterable(parts)))
             rows.append(row)
         return rows
 
@@ -212,29 +208,20 @@ class HashedNgramScorer:
         hashed indices it touches and their values: the one hinge pass, under
         loss_and_grad and train_step.
 
-        Scores come from feature rows (the batch's rows missing from the table are
-        built in one _rows call per context and kept), the loss is summed item by item, and
-        the subgradient at a hinge kink is taken as zero (a term only contributes
+        Scores come from each item's whole-pair rows (_rows, which builds a row the
+        first time a pair is seen), the loss is summed item by item, and the
+        subgradient at a hinge kink is taken as zero (a term only contributes
         when strictly positive). The subgradient is a sum of integer counts,
         exact in any order, so it is accumulated per index with bincount.
         """
-        weights, table = self.weights, self._table
-        missing: dict[str, dict[str, None]] = {}  # context -> its texts without a row, in first-seen order
-        for context, positive, negatives in batch:
-            for text in (positive, *negatives):
-                if (context, text) not in table:
-                    missing.setdefault(context, {})[text] = None
-        for context, texts in missing.items():  # one _rows call per context
-            rows = self._rows(context, list(texts))
-            table.update({(context, text): (idx, cnt.astype(np.float32)) for text, (idx, cnt) in zip(texts, rows)})
+        weights = self.weights
         loss = 0.0
         idx_parts: list[np.ndarray] = []
         val_parts: list[np.ndarray] = []
         for context, positive, negatives in batch:
-            pos_idx, pos_cnt = table[context, positive]
+            (pos_idx, pos_cnt), *negative_rows = self._rows(context, [positive, *negatives])
             pos_score = float(weights[pos_idx] @ pos_cnt)
-            for negative in negatives:
-                neg_idx, neg_cnt = table[context, negative]
+            for neg_idx, neg_cnt in negative_rows:
                 term = margin - pos_score + float(weights[neg_idx] @ neg_cnt)
                 if term > 0.0:
                     loss += term

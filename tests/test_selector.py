@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import evex
+from evex import selector
 from evex.codec import CodecConfig
 from evex.events import Trigger
 from evex.generation import CandidateList, TriggerCandidate
@@ -190,22 +191,21 @@ def test_features_match_whole_pair_reference(dim, word_ngrams, char_ngrams):
 
 
 @pytest.mark.parametrize("dim", [7, 2**18])
-def test_rows_across_memo_resets_match_a_fresh_scorer(dim):
+def test_rows_of_a_long_lived_scorer_match_a_fresh_scorer(dim):
+    """One scorer over every pair, its store filled by all the pairs before, gives each pair
+    the rows and score of a scorer that sees that pair alone."""
     rng = random.Random(40 + dim)
     weights = np.random.default_rng(dim).normal(size=dim)
-    capped = HashedNgramScorer(dim=dim)
-    capped.MEMO_SIZE = 64  # a few pairs fill it
-    capped.weights = weights
-    resets = []
-    reset_memos = capped._reset_memos
-    capped._reset_memos = lambda: (resets.append(1), reset_memos())
+    long_lived = HashedNgramScorer(dim=dim)
+    long_lived.weights = weights
     for context, text in featurizer_pairs(rng):
         fresh = HashedNgramScorer(dim=dim)
         fresh.weights = weights
-        [(got_idx, got_cnt)], [(want_idx, want_cnt)] = capped._rows(context, [text]), fresh._rows(context, [text])
-        assert got_idx.tolist() == want_idx.tolist() and got_cnt.tolist() == want_cnt.tolist()
-        assert capped.score(context, text) == fresh.score(context, text)
-    assert len(resets) > 20
+        for whole_pair in (True, False):
+            [(got_idx, got_cnt)] = long_lived._rows(context, [text], whole_pair)
+            [(want_idx, want_cnt)] = fresh._rows(context, [text], whole_pair)
+            assert got_idx.tolist() == want_idx.tolist() and got_cnt.tolist() == want_cnt.tolist()
+        assert long_lived.score(context, text) == fresh.score(context, text)
 
 
 def texts_by_context(pairs):
@@ -302,7 +302,7 @@ def numpy_attributes(scorer):
 
 
 def test_scoring_keeps_no_array_sized_by_a_call():
-    """A long list leaves no array attribute but the weights: its rows live in the capped row memo."""
+    """A long list leaves no array attribute but the weights: its rows live in the row store."""
     scorer = HashedNgramScorer(dim=2**18)
     before = numpy_attributes(scorer)
     rng = random.Random(11)
@@ -313,39 +313,40 @@ def test_scoring_keeps_no_array_sized_by_a_call():
 
 
 def memo_entries(scorer):
-    return len(scorer._row_memo) + sum(map(len, scorer._grams))
+    return len(scorer._stored) + sum(map(len, scorer._grams))
 
 
 @pytest.mark.parametrize("dim", [7, 2**18])
-def test_memos_exceed_the_cap_by_at_most_one_calls_new_entries(dim):
+def test_a_repeated_call_builds_no_row(dim, monkeypatch):
+    """A row is built once per pair, and a call whose rows are all stored adds no memo entry;
+    one whose whole-pair rows are all stored does not tokenise or hash at all."""
     rng = random.Random(60 + dim)
-    capped = HashedNgramScorer(dim=dim)
-    capped.MEMO_SIZE = 64
-    grew_past_cap = False
+    scorer = HashedNgramScorer(dim=dim)
+    built, indexed = [], []
+    count, indices = selector._count, scorer._indices
+    monkeypatch.setattr(selector, "_count", lambda stream: (built.append(1), count(stream))[1])
+    monkeypatch.setattr(scorer, "_indices", lambda *parts: (indexed.append(1), indices(*parts))[1])
     for context, texts in texts_by_context(featurizer_pairs(rng)).items():
-        fresh = HashedNgramScorer(dim=dim)
-        fresh.scores(context, texts)  # from empty memos: every entry the call can add
-        capped.scores(context, texts)
-        assert memo_entries(capped) < capped.MEMO_SIZE + memo_entries(fresh)
-        grew_past_cap |= memo_entries(capped) > capped.MEMO_SIZE
-    assert grew_past_cap
+        for whole_pair in (True, False):
+            rows = scorer._rows(context, texts, whole_pair)
+            entries, n_built, n_indexed = memo_entries(scorer), len(built), len(indexed)
+            again = scorer._rows(context, texts, whole_pair)
+            assert all(a is b for a, b in zip(again, rows, strict=True))
+            assert (memo_entries(scorer), len(built)) == (entries, n_built)
+            assert len(indexed) == n_indexed + (not whole_pair)  # scoring hashes only the empty prefix part
+    assert len(built) == len(scorer._stored) > 0
 
 
 @pytest.mark.parametrize("dim", [7, 2**18])
-def test_batched_scores_across_memo_resets_match_a_fresh_scorer(dim):
+def test_batched_scores_of_a_long_lived_scorer_match_a_fresh_scorer(dim):
     rng = random.Random(50 + dim)
     weights = np.random.default_rng(dim).normal(size=dim)
-    capped = HashedNgramScorer(dim=dim)
-    capped.MEMO_SIZE = 48  # a call or two fills it (scoring rows add no prefix n-grams to the memos)
-    capped.weights = weights
-    resets = []
-    reset_memos = capped._reset_memos
-    capped._reset_memos = lambda: (resets.append(1), reset_memos())
+    long_lived = HashedNgramScorer(dim=dim)
+    long_lived.weights = weights
     for context, texts in texts_by_context(featurizer_pairs(rng)).items():
         fresh = HashedNgramScorer(dim=dim)
         fresh.weights = weights
-        assert capped.scores(context, texts) == fresh.scores(context, texts)
-    assert len(resets) > 20
+        assert long_lived.scores(context, texts) == fresh.scores(context, texts)
 
 
 def test_junction_memo_is_keyed_by_the_prefix_tail():
@@ -520,16 +521,18 @@ def test_train_selector_matches_dict_reference():
         assert np.count_nonzero(ours.weights) > 0
 
 
-def test_hinge_builds_a_contexts_missing_rows_in_one_call(monkeypatch):
-    """A batch of 3 items over one context (3 gold triggers) builds its rows in one _rows call."""
+def test_hinge_builds_each_pairs_row_once_across_steps(monkeypatch):
+    """Each (context, text) row is built the first time a step sees the pair and read from the
+    store after: a batch over two contexts, 5 texts after one and 2 after the other, builds 7."""
     scorer, want = HashedNgramScorer(dim=2**10), DictUpdateScorer(dim=2**10)
-    calls = []
-    rows = scorer._rows
-    monkeypatch.setattr(scorer, "_rows", lambda context, texts: (calls.append(list(texts)), rows(context, texts))[1])
+    built = []
+    count = selector._count
+    monkeypatch.setattr(selector, "_count", lambda stream: (built.append(1), count(stream))[1])
     batch = [("a b c", positive, ["x [T]", "y [U]"]) for positive in ("a [T]", "b [T]", "c [U]")]
-    for _ in range(2):  # the second step reads every row from the table
+    batch.append(("d e", "x [T]", ["a [T]"]))
+    for _ in range(2):  # the second step reads every row from the store
         assert scorer.train_step(batch, 0.5, 0.1) == want.train_step(batch, 0.5, 0.1)
-    assert calls == [["a [T]", "x [T]", "y [U]", "b [T]", "c [U]"]]
+    assert len(built) == 7
     assert np.array_equal(scorer.weights, want.weights)
 
 
